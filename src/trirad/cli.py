@@ -7,20 +7,23 @@ dictionaries).  Error classes map to distinct exit codes:
     3  word or matrix syntax    6  numeric verification failure
     4  domain error             7  matrix not in the group
                                 8  internal inconsistency
+                                9  randomized verification failure
+
+The analytic layer (numpy, scipy) is imported only by the commands that use it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import random
 import sys
+from fractions import Fraction
 
-from trirad import analytic, linking, symbols
-from trirad.errors import DomainError, ParseError, TriradError
+from trirad import linking, symbols
+from trirad.errors import DomainError, NumericError, ParseError, TriradError, VerificationError
 from trirad.group import (
     Element,
     Matrix2,
@@ -28,7 +31,7 @@ from trirad.group import (
     get_params,
     matrix_to_word,
 )
-from trirad.words import normal_form, parse_word, render_word
+from trirad.words import parse_word, render_word
 
 DEFAULT_SEED = 20240723
 
@@ -170,6 +173,8 @@ def cmd_code23(args):
 
 
 def cmd_enumerate(args):
+    from trirad import analytic
+
     params = _parse_pq(args.pq)
     table = analytic.enumerate_classes(params, args.max_syllables)
     rows = table.to_rows()
@@ -180,6 +185,8 @@ def cmd_enumerate(args):
 
 
 def cmd_stats(args):
+    from trirad import analytic
+
     params = _parse_pq(args.pq)
     if args.max_trace:
         table = analytic.enumerate_classes_by_trace(params, args.max_trace)
@@ -202,6 +209,8 @@ def cmd_stats(args):
 
 
 def cmd_numeric_check(args):
+    from trirad import analytic
+
     params = _parse_pq(args.pq)
     if (params.p, params.q) != (2, 3):
         raise DomainError("numeric-check runs at (p,q) = (2,3) only")
@@ -232,7 +241,7 @@ def cmd_numeric_check(args):
     payload = {"pq": [2, 3], "classes": rows, "failures": failures}
     _emit(args, payload)
     if failures:
-        raise TriradError(f"{failures} numeric checks failed")
+        raise NumericError(f"{failures} numeric checks failed")
     return 0
 
 
@@ -252,39 +261,32 @@ def cmd_verify(args):
     params = _parse_pq(args.pq)
     rng = random.Random(args.seed)
     n = args.count
-    checks = {
-        "dual_pipeline": 0,
-        "coboundary": 0,
-        "class_invariance": 0,
-        "inversion": 0,
-        "phi_coboundary": 0,
-        "euler_integrality": 0,
-    }
-    from fractions import Fraction
-
     pq = params.p * params.q
+    checks = dict.fromkeys(
+        ("dual_pipeline", "coboundary", "class_invariance", "inversion", "phi_coboundary", "euler_integrality"), 0
+    )
     for _ in range(n):
         x = _random_element(params, rng)
         y = _random_element(params, rng)
         xy = x * y
-        assert symbols.psi(x) == symbols.psi_via_cocycle(x), x
-        checks["dual_pipeline"] += 1
-        assert symbols.psi(xy) - symbols.psi(x) - symbols.psi(y) == 2 * pq * cocycle_W_el(x, y, xy)
-        checks["coboundary"] += 1
-        assert symbols.rademacher_Psi(x.conjugate(y)) == symbols.rademacher_Psi(x)
-        assert symbols.rademacher_Psi(-x) == symbols.rademacher_Psi(x)
-        checks["class_invariance"] += 1
         c0 = x.matrix.c.is_zero()
         d_neg = symbols.sign(x.matrix.d).value < 0 if c0 else False
-        expected = -symbols.psi(x) + (2 * pq if c0 and d_neg else 0)
-        assert symbols.psi(x.inverse()) == expected
-        checks["inversion"] += 1
         s = symbols._c_sign(x) * symbols._c_sign(y) * symbols._c_sign(xy)
-        lhs = symbols.dedekind_Phi(xy) - symbols.dedekind_Phi(x) - symbols.dedekind_Phi(y)
-        assert lhs == -Fraction(pq, 2) * s
-        checks["phi_coboundary"] += 1
-        symbols.euler_cocycle(x, y)  # raises if not integral
-        checks["euler_integrality"] += 1
+        phi_delta = symbols.dedekind_Phi(xy) - symbols.dedekind_Phi(x) - symbols.dedekind_Phi(y)
+        symbols.euler_cocycle(x, y)  # raises InternalInconsistencyError unless integral
+        ok = {
+            "dual_pipeline": symbols.psi(x) == symbols.psi_via_cocycle(x),
+            "coboundary": symbols.psi(xy) - symbols.psi(x) - symbols.psi(y) == 2 * pq * cocycle_W_el(x, y, xy),
+            "class_invariance": symbols.rademacher_Psi(x.conjugate(y)) == symbols.rademacher_Psi(x)
+            == symbols.rademacher_Psi(-x),
+            "inversion": symbols.psi(x.inverse()) == -symbols.psi(x) + (2 * pq if c0 and d_neg else 0),
+            "phi_coboundary": phi_delta == -Fraction(pq, 2) * s,
+            "euler_integrality": True,
+        }
+        for name in checks:
+            if not ok[name]:
+                raise VerificationError(f"{name} fails at x = {render_word(x.word)}, y = {render_word(y.word)}")
+            checks[name] += 1
     payload = {"pq": [params.p, params.q], "seed": args.seed, "pairs": n, "checks": checks, "ok": True}
     _emit(args, payload)
     return 0
@@ -361,10 +363,6 @@ def main(argv=None):
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stdout)
         sys.stdout.write("\n")
         return exc.exit_code
-    except AssertionError as exc:
-        json.dump({"error": "VerificationFailure", "message": str(exc)}, sys.stdout)
-        sys.stdout.write("\n")
-        return 9
 
 
 if __name__ == "__main__":

@@ -49,3 +49,9 @@ class InternalInconsistencyError(TriradError):
     """Cross-checked quantities disagree; signals an implementation bug."""
 
     exit_code = 8
+
+
+class VerificationError(TriradError):
+    """A randomized invariant check of `trirad verify` failed."""
+
+    exit_code = 9

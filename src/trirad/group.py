@@ -1,10 +1,18 @@
 """Triangle-group elements: words, exact matrices, lifts, and the cocycle W.
 
 Elements carry their normal-form word as the authoritative representation; the
-exact matrix (entries in Q(alpha, beta)) and a float shadow with a tracked error
-bound are computed lazily.  Sign decisions are taken from the float shadow only
-when the value clears the error bound by a wide margin; otherwise they fall back
-to certified exact arithmetic.
+exact matrix (entries in Q(alpha, beta)) and a float shadow with a per-entry
+error bound are computed lazily.  An Asai sign (the sign of c, or of a when
+c = 0) is decided by the first of three tiers that can:
+
+(a) the float shadow, when the entry clears its error bound by a wide margin;
+(b) the word: c = 0 exactly for the cusp words (U S)^k and (S^(p-1) U^(q-1))^k,
+    because Stab(inf) = +-<T>, and their sign is read off k (`is_cusp_word`);
+(c) certified exact arithmetic on the exact matrix.
+
+`asai_signs` applies the tiers to every partial product of a word, which is
+what `symbols.psi_via_cocycle` consumes.  `Element.classify` needs no arithmetic at all:
+it reads the cyclically reduced word.
 """
 
 from __future__ import annotations
@@ -57,24 +65,33 @@ class Matrix2:
         return tuple(float(x) for x in self.entries())
 
 
-# float shadow: ((a, b, c, d), absolute error bound)
+# float shadow: ((a, b, c, d), (ea, eb, ec, ed)) with |exact entry - float entry| <= its e
+
+_GAMMA2 = 2 * 2.0**-53 / (1 - 2 * 2.0**-53)
 
 
 def _fmul(A, B):
-    t1, e1 = A
-    t2, e2 = B
-    a1, b1, c1, d1 = t1
-    a2, b2, c2, d2 = t2
-    out = (
-        a1 * a2 + b1 * c2,
-        a1 * b2 + b1 * d2,
-        c1 * a2 + d1 * c2,
-        c1 * b2 + d1 * d2,
+    """Product of two float shadows, with the componentwise error bound
+
+        E_out <= E_A |B~| + (|A~| + E_A) E_B + gamma_2 |A~| |B~|
+
+    (Higham, Accuracy and Stability of Numerical Algorithms, section 3.5): the
+    first two terms carry the input errors, the last bounds the rounding of each
+    two-term dot product.  The bound is itself evaluated in floats and may come
+    out low by a few units in the last place; `_decided_sign` asks for a factor
+    _MARGIN = 64 above it, which absorbs that.  An entry that overflows makes its
+    bound inf or nan, and such a sign is never decided from the shadow.
+    """
+    (a1, b1, c1, d1), (ea1, eb1, ec1, ed1) = A
+    (a2, b2, c2, d2), (ea2, eb2, ec2, ed2) = B
+    xa, xb, xc, xd, ya, yb, yc, yd = map(abs, (a1, b1, c1, d1, a2, b2, c2, d2))
+    g = _GAMMA2
+    return (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2), (
+        ea1 * ya + eb1 * yc + (xa + ea1) * ea2 + (xb + eb1) * ec2 + g * (xa * ya + xb * yc),
+        ea1 * yb + eb1 * yd + (xa + ea1) * eb2 + (xb + eb1) * ed2 + g * (xa * yb + xb * yd),
+        ec1 * ya + ed1 * yc + (xc + ec1) * ea2 + (xd + ed1) * ec2 + g * (xc * ya + xd * yc),
+        ec1 * yb + ed1 * yd + (xc + ec1) * eb2 + (xd + ed1) * ed2 + g * (xc * yb + xd * yd),
     )
-    m1 = max(abs(a1), abs(b1), abs(c1), abs(d1))
-    m2 = max(abs(a2), abs(b2), abs(c2), abs(d2))
-    err = 2.0 * (m1 * e2 + m2 * e1) + 8e-16 * m1 * m2
-    return (out, err)
 
 
 _MARGIN = 64.0
@@ -85,6 +102,11 @@ def _decided_sign(x, err):
     if abs(x) > _MARGIN * err + 1e-300:
         return 1 if x > 0 else -1
     return None
+
+
+def _shadow(m: Matrix2):
+    t = m.float_entries()
+    return t, (4e-15 * max(abs(x) for x in t),) * 4
 
 
 class GroupParams:
@@ -114,14 +136,9 @@ class GroupParams:
         self.U = self._upow[1]
         self.T = -(self.U * self.S)
         self.identity_matrix = Matrix2(f.one, f.zero, f.zero, f.one)
-        self._spow_f = [None] + [
-            (m.float_entries(), 4e-15 * max(abs(x) for x in m.float_entries())) for m in self._spow[1:]
-        ]
-        self._upow_f = [None] + [
-            (m.float_entries(), 4e-15 * max(abs(x) for x in m.float_entries())) for m in self._upow[1:]
-        ]
-        one_f = ((1.0, 0.0, 0.0, 1.0), 0.0)
-        self.identity_f = one_f
+        self._spow_f = [None] + [_shadow(m) for m in self._spow[1:]]
+        self._upow_f = [None] + [_shadow(m) for m in self._upow[1:]]
+        self.identity_f = ((1.0, 0.0, 0.0, 1.0), (0.0,) * 4)
 
     def __repr__(self):
         return f"GroupParams(p={self.p}, q={self.q})"
@@ -156,12 +173,9 @@ def word_to_matrix(w: GroupWord, params: GroupParams) -> Matrix2:
 
 
 def word_to_fmat(w: GroupWord, params: GroupParams):
-    fm = params.identity_f
+    fm = ((float(w.sign), 0.0, 0.0, float(w.sign)), (0.0,) * 4)
     for gen, e in w.syllables:
         fm = _fmul(fm, params.syllable_fmat(gen, e))
-    if w.sign < 0:
-        t, e = fm
-        fm = (tuple(-x for x in t), e)
     return fm
 
 
@@ -190,12 +204,7 @@ class Element:
     @classmethod
     def translation(cls, params, k=1):
         """T^k as an element (T = -U S)."""
-        t = GroupWord(-1, (Syllable("U", 1), Syllable("S", 1)))
-        w = words.IDENTITY
-        step = t if k >= 0 else t.inverse()
-        for _ in range(abs(k)):
-            w = multiply(w, step, params.p, params.q)
-        return cls(params, w, _normalized=True)
+        return cls(params, GroupWord(-1, (Syllable("U", 1), Syllable("S", 1))), _normalized=True) ** k
 
     # -- group structure ----------------------------------------------------
 
@@ -222,11 +231,7 @@ class Element:
         return g.inverse() * self * g
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Element)
-            and self.params is other.params
-            and self.word == other.word
-        )
+        return isinstance(other, Element) and self.params is other.params and self.word == other.word
 
     def __hash__(self):
         return hash((self.params.p, self.params.q, self.word))
@@ -252,36 +257,100 @@ class Element:
 
     def trace_sign(self) -> int:
         t4, err = self.fmat
-        t = t4[0] + t4[3]
-        s = _decided_sign(t, 2 * err)
+        s = _decided_sign(t4[0] + t4[3], err[0] + err[3])
         if s is not None:
             return s
         return sign(self.matrix.trace).value
 
     def asai(self) -> int:
         t4, err = self.fmat
-        s = _decided_sign(t4[2], err)
-        if s is not None:
-            return s
-        return asai_sign(self.matrix)
+        s = _decided_sign(t4[2], err[2])
+        if s is None:
+            s = _asai_past_floats(self.word.syllables, self.word.sign, self.params, lambda: self.matrix)
+        return s
 
     def classify(self) -> str:
-        if not self.word.syllables:
-            return "central"
-        t4, err = self.fmat
-        t = t4[0] + t4[3]
-        margin = _MARGIN * 2 * err + 1e-12
-        if abs(t) > 2 + margin:
-            return "hyperbolic"
-        if abs(t) < 2 - margin:
-            return "elliptic"
-        tr = self.matrix.trace
-        s = sign(tr * tr - 4).value
-        if s > 0:
-            return "hyperbolic"
-        if s < 0:
-            return "elliptic"
-        return "parabolic"
+        """Read off the cyclically reduced word.
+
+        Conjugacy classes of the amalgam are the rotation classes of cyclically
+        reduced words.  Elliptic elements are conjugate into <S> or <U> (one
+        syllable), and parabolic ones into Stab(inf) = +-<T> (a rotation of a
+        cusp word); every other element with at least two syllables is
+        hyperbolic.
+        """
+        p, q = self.params.p, self.params.q
+        sylls = cyclic_reduce(self.word, p, q)[0].syllables
+        if len(sylls) < 2:
+            return ("central", "elliptic")[len(sylls)]
+        if is_cusp_word(sylls, p, q) or is_cusp_word(sylls[1:] + sylls[:1], p, q):
+            return "parabolic"
+        return "hyperbolic"
+
+
+_US = (Syllable("U", 1), Syllable("S", 1))
+
+
+def is_cusp_word(sylls, p, q) -> bool:
+    """True when the syllables spell (U S)^k or (S^(p-1) U^(q-1))^k, k >= 0.
+
+    These are the normal forms of (-T)^k and (-T)^-k, since T = -U S.  As
+    Stab(inf) = +-<T>, a normal-form word has c = 0 exactly when its syllables
+    are a cusp word, and then sign * (syllables) = sign * (-1)^k T^(+-k) has
+    Asai sign sign * (-1)^k.
+    """
+    k, odd = divmod(len(sylls), 2)
+    if odd:
+        return False
+    head = sylls[:2]
+    return not k or (head in (_US, (Syllable("S", p - 1), Syllable("U", q - 1))) and sylls == head * k)
+
+
+def _asai_past_floats(sylls, sigma, params, exact):
+    """Asai sign of sigma * (product of sylls) when the float shadow left it open.
+
+    Tier (b): a cusp word has c = 0 and Asai sign sigma * (-1)^k.  Tier (c):
+    otherwise `exact()` supplies the exact product.
+    """
+    if is_cusp_word(sylls, params.p, params.q):
+        return sigma * (-1) ** (len(sylls) // 2)
+    return asai_sign(exact())
+
+
+def asai_signs(params: GroupParams, word: GroupWord, from_right=False):
+    """Yield the Asai sign of each partial product of `word`, one per syllable.
+
+    From the left the partial products are the prefixes sign * s1...si; from
+    the right they are the suffixes si...sn, without the central sign.  Each
+    step multiplies one syllable into a float shadow and takes the sign from
+    the first tier that decides it: (a) the shadow's margin, (b) the cusp-word
+    test, (c) exact `asai_sign`.  The exact partial product is only built when
+    tier (c) is first reached, and is then brought up to date one syllable per
+    step, so no syllable is multiplied exactly twice.
+    """
+    sylls = word.syllables
+    n = len(sylls)
+    sigma = 1 if from_right else word.sign
+    fm, exact = params.identity_f, params.identity_matrix
+    if sigma < 0:
+        fm, exact = ((-1.0, 0.0, 0.0, -1.0), fm[1]), -exact
+    done = 0
+
+    def exact_product(m):
+        nonlocal exact, done
+        for i in range(done, m):
+            syl = params.syllable_matrix(*sylls[n - 1 - i if from_right else i])
+            exact = syl * exact if from_right else exact * syl
+        done = m
+        return exact
+
+    for m in range(1, n + 1):
+        syl = params.syllable_fmat(*sylls[n - m if from_right else m - 1])
+        fm = _fmul(syl, fm) if from_right else _fmul(fm, syl)
+        s = _decided_sign(fm[0][2], fm[1][2])
+        if s is None:
+            part = sylls[n - m :] if from_right else sylls[:m]
+            s = _asai_past_floats(part, sigma, params, lambda: exact_product(m))
+        yield s
 
 
 def asai_sign(m: Matrix2) -> int:
@@ -386,14 +455,11 @@ def primitive_root(el: Element):
 def _moves(params: GroupParams):
     out = []
     p, q = params.p, params.q
-    for e in range(1, p):
-        for ee in (e, -e):
-            w = normal_form(GroupWord(1, (Syllable("S", ee),)), p, q)
-            out.append((w, word_to_fmat(w, params)))
-    for e in range(1, q):
-        for ee in (e, -e):
-            w = normal_form(GroupWord(1, (Syllable("U", ee),)), p, q)
-            out.append((w, word_to_fmat(w, params)))
+    for gen, order in (("S", p), ("U", q)):
+        for e in range(1, order):
+            for ee in (e, -e):
+                w = normal_form(GroupWord(1, (Syllable(gen, ee),)), p, q)
+                out.append((w, word_to_fmat(w, params)))
     for k in (1, -1):
         w = Element.translation(params, k).word
         out.append((w, word_to_fmat(w, params)))
@@ -438,7 +504,7 @@ def matrix_to_word(m: Matrix2, params: GroupParams) -> GroupWord:
         raise NotInGroupError("determinant is not 1")
     moves = _moves(params)
     cap = 10 * _coeff_bits(m) + 2000
-    start = (m.float_entries(), 0.0)
+    start = (m.float_entries(), (0.0,) * 4)
 
     def score(fm):
         a, b, c, d = fm[0]

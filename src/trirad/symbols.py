@@ -8,97 +8,68 @@ Two independent pipelines compute psi:
 * `psi_via_cocycle` folds right-to-left with the coboundary relation
   psi(xy) = psi(x) + psi(y) + 2pq W(x,y), seeded on single syllable powers.
 
-Both use the float matrix shadow for the Asai signs and fall back to exact
-certified arithmetic whenever a sign is not decidable at float precision.
+`psi_via_cocycle` takes the Asai sign of each suffix from `group.asai_signs`,
+in three tiers: (a) the float shadow's margin, (b) the cusp words, whose c is 0
+and whose sign is read off the word, (c) exact arithmetic for that step alone.
+`psi` uses tier (a) when it decides every prefix, else exact arithmetic for all
+of them.  The pipelines share no accumulator, cached result or tier beyond (a),
+so comparing them checks tiers (b) and (c) against plain exact arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, islice
+from operator import mul
 
-from trirad.errors import DomainError, InternalInconsistencyError, PreconditionError
-from trirad.exactnum import sign
-from trirad.group import (
-    Element,
-    Matrix2,
-    _decided_sign,
-    _fmul,
-    asai_sign,
-    w_from_signs,
-    word_to_matrix,
-)
+from trirad.errors import DomainError, InternalInconsistencyError
+from trirad.exactnum import sign  # noqa: F401  (cli.cmd_verify reads it here)
+from trirad.group import Element, _decided_sign, _fmul, asai_sign, asai_signs, is_cusp_word, w_from_signs
 from trirad.words import cyclic_reduce
 
 
 def _c_sign(el: Element) -> int:
-    t4, err = el.fmat
-    s = _decided_sign(t4[2], err)
-    if s is not None:
-        return s
-    return sign(el.matrix.c).value
+    if is_cusp_word(el.word.syllables, el.params.p, el.params.q):
+        return 0
+    return el.asai()
+
+
+def _seed(gen, e, p, q) -> int:
+    """psi of a syllable power, which is also its character value."""
+    return -e * q if gen == "S" else -e * p
 
 
 # ---------------------------------------------------------------------------
 # pipeline 1: character of the universal cover
 
 
-def _psi_char_float(el: Element):
-    params = el.params
-    p, q = params.p, params.q
-    pq = p * q
-    w = el.word
-    if w.sign < 0:
-        char = pq
-        cur = params.identity_f
-        cur = (tuple(-x for x in cur[0]), cur[1])
-        cur_asai = -1
-    else:
-        char = 0
-        cur = params.identity_f
-        cur_asai = 1
-    level = 0
-    for gen, e in w.syllables:
-        nxt = _fmul(cur, params.syllable_fmat(gen, e))
-        s_new = _decided_sign(nxt[0][2], nxt[1])
-        if s_new is None:
-            return None
-        # syllable powers have c = C_e > 0, so their Asai sign is +1
-        level += w_from_signs(cur_asai, 1, s_new)
-        char += -q * e if gen == "S" else -p * e
-        cur, cur_asai = nxt, s_new
-    return char + 2 * level * pq
-
-
-def _psi_char_exact(el: Element) -> int:
-    params = el.params
-    p, q = params.p, params.q
-    pq = p * q
-    w = el.word
-    if w.sign < 0:
-        char = pq
-        cur = -params.identity_matrix
-        cur_asai = -1
-    else:
-        char = 0
-        cur = params.identity_matrix
-        cur_asai = 1
-    level = 0
-    for gen, e in w.syllables:
-        nxt = cur * params.syllable_matrix(gen, e)
-        s_new = asai_sign(nxt)
-        level += w_from_signs(cur_asai, 1, s_new)
-        char += -q * e if gen == "S" else -p * e
-        cur, cur_asai = nxt, s_new
-    return char + 2 * level * pq
+def _prefix_signs(el: Element) -> list:
+    """Asai signs of the prefixes sign * s1...si: all from the float shadow when
+    its margin decides every one, else all from exact `asai_sign`."""
+    params, w = el.params, el.word
+    f0 = ((float(w.sign), 0.0, 0.0, float(w.sign)), (0.0,) * 4)
+    fms = accumulate((params.syllable_fmat(*syl) for syl in w.syllables), _fmul, initial=f0)
+    signs = [_decided_sign(t4[2], err[2]) for t4, err in islice(fms, 1, None)]
+    if None not in signs:
+        return signs
+    m0 = params.identity_matrix if w.sign > 0 else -params.identity_matrix
+    ms = accumulate((params.syllable_matrix(*syl) for syl in w.syllables), mul, initial=m0)
+    return [asai_sign(m) for m in islice(ms, 1, None)]
 
 
 def psi(el: Element) -> int:
     cached = el._sym.get("psi")
     if cached is None:
-        cached = _psi_char_float(el)
-        if cached is None:
-            cached = _psi_char_exact(el)
+        p, q, w = el.params.p, el.params.q, el.word
+        char = p * q if w.sign < 0 else 0
+        level, prev = 0, w.sign
+        for (gen, e), s in zip(w.syllables, _prefix_signs(el)):
+            # syllable powers have c = C_e > 0, so their Asai sign is +1
+            level += w_from_signs(prev, 1, s)
+            char += _seed(gen, e, p, q)
+            prev = s
+        cached = char + 2 * level * p * q
         el._sym["psi"] = cached
     return cached
 
@@ -107,64 +78,17 @@ def psi(el: Element) -> int:
 # pipeline 2: coboundary fold with syllable seeds
 
 
-def _seed(gen, e, p, q) -> int:
-    return -e * q if gen == "S" else -e * p
-
-
-def _psi_cocycle_float(el: Element):
-    params = el.params
-    p, q = params.p, params.q
+def psi_via_cocycle(el: Element) -> int:
+    p, q = el.params.p, el.params.q
     pq = p * q
-    sylls = el.word.syllables
-    if not sylls:
-        acc_psi = 0
-        acc_asai = 1
-    else:
-        gen, e = sylls[-1]
-        acc_psi = _seed(gen, e, p, q)
-        acc = params.syllable_fmat(gen, e)
-        acc_asai = 1
-        for gen, e in reversed(sylls[:-1]):
-            nxt = _fmul(params.syllable_fmat(gen, e), acc)
-            s_new = _decided_sign(nxt[0][2], nxt[1])
-            if s_new is None:
-                return None
-            acc_psi = _seed(gen, e, p, q) + acc_psi + 2 * pq * w_from_signs(1, acc_asai, s_new)
-            acc, acc_asai = nxt, s_new
+    acc_psi, acc_asai = 0, 1
+    for (gen, e), s in zip(reversed(el.word.syllables), asai_signs(el.params, el.word, from_right=True)):
+        acc_psi += _seed(gen, e, p, q) + 2 * pq * w_from_signs(1, acc_asai, s)
+        acc_asai = s
     if el.word.sign < 0:
         # psi(-gamma) = psi(gamma) + pq sgn(gamma)
         acc_psi += pq * acc_asai
     return acc_psi
-
-
-def _psi_cocycle_exact(el: Element) -> int:
-    params = el.params
-    p, q = params.p, params.q
-    pq = p * q
-    sylls = el.word.syllables
-    if not sylls:
-        acc_psi = 0
-        acc_asai = 1
-    else:
-        gen, e = sylls[-1]
-        acc_psi = _seed(gen, e, p, q)
-        acc = params.syllable_matrix(gen, e)
-        acc_asai = 1
-        for gen, e in reversed(sylls[:-1]):
-            nxt = params.syllable_matrix(gen, e) * acc
-            s_new = asai_sign(nxt)
-            acc_psi = _seed(gen, e, p, q) + acc_psi + 2 * pq * w_from_signs(1, acc_asai, s_new)
-            acc, acc_asai = nxt, s_new
-    if el.word.sign < 0:
-        acc_psi += pq * acc_asai
-    return acc_psi
-
-
-def psi_via_cocycle(el: Element) -> int:
-    val = _psi_cocycle_float(el)
-    if val is None:
-        val = _psi_cocycle_exact(el)
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +123,7 @@ def modified_Psi_e(el: Element) -> int:
     if el.classify() != "elliptic":
         return rademacher_Psi(el)
     w, _ = cyclic_reduce(el.word, el.params.p, el.params.q)
-    if len(w.syllables) != 1:
-        raise InternalInconsistencyError("elliptic element did not reduce to one syllable")
-    gen, e = w.syllables[0]
-    return -e * el.params.q if gen == "S" else -e * el.params.p
+    return _seed(*w.syllables[0], el.params.p, el.params.q)
 
 
 def euler_cocycle(el1: Element, el2: Element) -> int:

@@ -9,11 +9,11 @@ from trirad.words import GroupWord, Syllable
 PQ_LIST = [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (4, 5), (5, 7)]
 
 
-def random_element(params, rng, max_syllables=6):
+def random_element(params, rng, max_syllables=6, min_syllables=1):
     """Random normal-form element with alternating syllables."""
     gen = rng.choice("SU")
     sylls = []
-    for _ in range(rng.randint(1, max_syllables)):
+    for _ in range(rng.randint(min_syllables, max_syllables)):
         order = params.p if gen == "S" else params.q
         sylls.append(Syllable(gen, rng.randint(1, order - 1)))
         gen = "U" if gen == "S" else "S"

@@ -1,10 +1,21 @@
 """CLI surface: JSON payloads, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trirad
 from trirad.cli import main
+
+
+def run_python(*args):
+    """A fresh interpreter with this checkout's trirad on its path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(trirad.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
 def run(capsys, *argv):
@@ -104,6 +115,32 @@ def test_numeric_check_command(capsys):
     assert code == 0
     assert d["failures"] == 0
     assert all(row["ok"] for row in d["classes"])
+
+
+def test_numeric_check_failure_exits_6(capsys, monkeypatch):
+    from trirad import analytic
+
+    monkeypatch.setattr(analytic, "winding_residual_23", lambda el: (0, 1.0))
+    code, out = run(capsys, "numeric-check", "--pq", "2,3", "--max-syllables", "4")
+    assert code == 6
+    assert json.loads(out.splitlines()[-1])["error"] == "NumericError"
+
+
+def test_verify_failure_exits_9_under_optimize():
+    # checks must not be asserts, which python -O strips
+    broken = (
+        "import sys; from trirad import cli, symbols; "
+        "symbols.psi_via_cocycle = lambda el: symbols.psi(el) + 1; "
+        "sys.exit(cli.main(['verify', '--pq', '2,3', '--count', '3']))"
+    )
+    res = run_python("-O", "-c", broken)
+    assert res.returncode == 9, res.stdout + res.stderr
+    assert json.loads(res.stdout)["error"] == "VerificationError"
+
+
+def test_cli_import_leaves_out_numpy_and_scipy():
+    res = run_python("-c", "import sys, trirad.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+    assert res.returncode == 0 and res.stdout.strip() == "[]", res.stdout + res.stderr
 
 
 def test_verify_command_and_determinism(capsys):

@@ -8,22 +8,27 @@ from hypothesis import strategies as st
 
 from conftest import PQ_LIST, random_element
 from trirad.errors import DomainError, NotInGroupError
-from trirad.exactnum import get_field
+from trirad.exactnum import get_field, sign
 from trirad.group import (
     Element,
     LiftedElement,
     Matrix2,
+    _decided_sign,
+    _fmul,
     asai_sign,
+    asai_signs,
     cocycle_W,
     cocycle_W_el,
     generators,
     get_params,
+    is_cusp_word,
     is_primitive,
     lift_inverse,
     lift_multiply,
     matrix_to_word,
     primitive_root,
     w_from_signs,
+    word_to_fmat,
     word_to_matrix,
 )
 from trirad.words import GroupWord, Syllable, parse_word
@@ -101,14 +106,109 @@ def test_classify_examples(P23, P25):
     assert el(P23, "S").classify() == "elliptic"
     assert el(P25, "U^2").classify() == "elliptic"
     assert Element.translation(P23).classify() == "parabolic"
+    assert el(P23, "U^2 * S").classify() == "parabolic"  # -T^-1
+    assert el(P23, "U * S * U^2 * S * U * S").classify() == "hyperbolic"
     assert el(P23, "U * S * U^2 * S").classify() == "hyperbolic"
 
 
-def test_classify_is_conjugation_invariant(P34, rng):
-    for _ in range(25):
-        x = random_element(P34, rng)
-        g = random_element(P34, rng)
-        assert x.conjugate(g).classify() == x.classify()
+def _exact_class(x):
+    m = x.matrix
+    if m.b.is_zero() and m.c.is_zero() and m.a == m.d:
+        return "central"
+    return {1: "hyperbolic", -1: "elliptic", 0: "parabolic"}[sign(m.trace * m.trace - 4).value]
+
+
+def test_classify_is_conjugation_invariant(rng):
+    # the word-level classification against sign(tr^2 - 4), on random conjugates
+    # of random elements, +-T^k, S^a and U^b, and on every word of 2 or 4 syllables
+    for p, q in PQ_LIST:
+        params = get_params(p, q)
+        xs = [random_element(params, rng) for _ in range(8)]
+        ts = [Element.translation(params, k) for k in (-3, -1, 1, 2)]
+        xs += ts + [-t for t in ts]
+        xs += [Element.generator(params, "S", a) for a in range(1, p)]
+        xs += [Element.generator(params, "U", b) for b in range(1, q)]
+        for x in xs:
+            g = random_element(params, rng)
+            assert x.conjugate(g).classify() == x.classify() == _exact_class(x.conjugate(g)), (x, g)
+        for w in _all_words(params, 2) + _all_words(params, 4):
+            x = Element(params, w, _normalized=True)
+            assert x.classify() == _exact_class(x), x
+
+
+def _partial_products(params, word, from_right):
+    """(syllables, exact product, float shadow) of each partial product, in fold order."""
+    sylls = word.syllables
+    sign_ = 1 if from_right else word.sign
+    exact = params.identity_matrix if sign_ > 0 else -params.identity_matrix
+    fm = word_to_fmat(GroupWord(sign_), params)
+    for m in range(1, len(sylls) + 1):
+        g = sylls[-m] if from_right else sylls[m - 1]
+        if from_right:
+            exact, fm = params.syllable_matrix(*g) * exact, _fmul(params.syllable_fmat(*g), fm)
+        else:
+            exact, fm = exact * params.syllable_matrix(*g), _fmul(fm, params.syllable_fmat(*g))
+        yield (sylls[-m:] if from_right else sylls[:m]), exact, fm
+
+
+def _all_words(params, k):
+    """Every normal-form word of k syllables, with sign +1."""
+    out = [()]
+    for i in range(k):
+        out = [
+            w + (Syllable(g, e),)
+            for w in out
+            for g in ("SU" if i == 0 else ("U" if w[-1].gen == "S" else "S"))
+            for e in range(1, params.p if g == "S" else params.q)
+        ]
+    return [GroupWord(1, w) for w in out]
+
+
+@pytest.mark.parametrize("p,q", PQ_LIST)
+def test_cusp_tier_matches_exact_arithmetic(p, q, rng):
+    # c = 0 exactly on the cusp words, and the fold's signs are the exact Asai signs
+    params = get_params(p, q)
+    ws = _all_words(params, 4) + [random_element(params, rng, max_syllables=12).word for _ in range(20)]
+    for w in ws:
+        for sgn in (1, -1):
+            w = GroupWord(sgn, w.syllables)
+            for from_right in (False, True):
+                parts = list(_partial_products(params, w, from_right))
+                for sylls, exact, _ in parts:
+                    assert is_cusp_word(sylls, p, q) == exact.c.is_zero(), sylls
+                assert list(asai_signs(params, w, from_right)) == [asai_sign(m) for _, m, _ in parts], w
+
+
+def _long_words(params, rng):
+    """Random words of 60-600 syllables, and (U S)^k or (S^(p-1) U^(q-1))^k runs plus one syllable."""
+    p, q = params.p, params.q
+    out = [random_element(params, rng, n, min_syllables=n).word for n in (60, 200, 600)]
+    for cusp in ((Syllable("U", 1), Syllable("S", 1)), (Syllable("S", p - 1), Syllable("U", q - 1))):
+        gen = cusp[0].gen
+        out += [GroupWord(1, cusp * 150 + (Syllable(gen, e),)) for e in range(1, p if gen == "S" else q)]
+    return out
+
+
+@pytest.mark.parametrize("p,q", PQ_LIST)
+def test_float_decided_signs_match_exact(p, q, rng):
+    # the per-entry error bound of the float shadow, on long and adversarial words
+    from trirad.analytic import enumerate_classes_by_trace
+
+    params = get_params(p, q)
+    ws = _long_words(params, rng)
+    if (p, q) == (2, 3):
+        ws += [e.word for e in enumerate_classes_by_trace(params, 40, max_workers=1).entries]
+    for w in ws:
+        for from_right in (False, True):
+            for sylls, exact, (t4, err) in _partial_products(params, w, from_right):
+                s = _decided_sign(t4[2], err[2])
+                if s is None:
+                    # at these lengths the shadow never leaves a nonzero c open
+                    assert is_cusp_word(sylls, p, q), sylls
+                else:
+                    assert s == sign(exact.c).value, sylls
+                s = _decided_sign(t4[0] + t4[3], err[0] + err[3])
+                assert s is None or s == sign(exact.trace).value, sylls
 
 
 def test_asai_examples(P23):
