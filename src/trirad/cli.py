@@ -29,6 +29,7 @@ from trirad.group import (
     Matrix2,
     cocycle_W_el,
     get_params,
+    is_cusp_word,
     matrix_to_word,
 )
 from trirad.words import parse_word, render_word
@@ -257,36 +258,44 @@ def _random_element(params, rng, max_syllables=6):
     return Element(params, GroupWord(rng.choice((1, -1)), tuple(sylls)))
 
 
+def _check(checks, name, holds, x, y):
+    if not holds:
+        raise VerificationError(f"{name} fails at x = {render_word(x.word)}, y = {render_word(y.word)}")
+    checks[name] += 1
+
+
 def cmd_verify(args):
     params = _parse_pq(args.pq)
     rng = random.Random(args.seed)
     n = args.count
+    checks = {
+        "dual_pipeline": 0,
+        "coboundary": 0,
+        "class_invariance": 0,
+        "inversion": 0,
+        "phi_coboundary": 0,
+        "euler_integrality": 0,
+    }
     pq = params.p * params.q
-    checks = dict.fromkeys(
-        ("dual_pipeline", "coboundary", "class_invariance", "inversion", "phi_coboundary", "euler_integrality"), 0
-    )
     for _ in range(n):
         x = _random_element(params, rng)
         y = _random_element(params, rng)
         xy = x * y
-        c0 = x.matrix.c.is_zero()
-        d_neg = symbols.sign(x.matrix.d).value < 0 if c0 else False
+        _check(checks, "dual_pipeline", symbols.psi(x) == symbols.psi_via_cocycle(x), x, y)
+        lhs = symbols.psi(xy) - symbols.psi(x) - symbols.psi(y)
+        _check(checks, "coboundary", lhs == 2 * pq * cocycle_W_el(x, y, xy), x, y)
+        psi_x = symbols.rademacher_Psi(x)
+        holds = symbols.rademacher_Psi(x.conjugate(y)) == psi_x == symbols.rademacher_Psi(-x)
+        _check(checks, "class_invariance", holds, x, y)
+        # c = 0 exactly on the cusp words; there x = +-T^k, so d = a has the Asai sign
+        d_neg = is_cusp_word(x.word.syllables, params.p, params.q) and x.asai() < 0
+        expected = -symbols.psi(x) + (2 * pq if d_neg else 0)
+        _check(checks, "inversion", symbols.psi(x.inverse()) == expected, x, y)
         s = symbols._c_sign(x) * symbols._c_sign(y) * symbols._c_sign(xy)
-        phi_delta = symbols.dedekind_Phi(xy) - symbols.dedekind_Phi(x) - symbols.dedekind_Phi(y)
+        lhs = symbols.dedekind_Phi(xy) - symbols.dedekind_Phi(x) - symbols.dedekind_Phi(y)
+        _check(checks, "phi_coboundary", lhs == -Fraction(pq, 2) * s, x, y)
         symbols.euler_cocycle(x, y)  # raises InternalInconsistencyError unless integral
-        ok = {
-            "dual_pipeline": symbols.psi(x) == symbols.psi_via_cocycle(x),
-            "coboundary": symbols.psi(xy) - symbols.psi(x) - symbols.psi(y) == 2 * pq * cocycle_W_el(x, y, xy),
-            "class_invariance": symbols.rademacher_Psi(x.conjugate(y)) == symbols.rademacher_Psi(x)
-            == symbols.rademacher_Psi(-x),
-            "inversion": symbols.psi(x.inverse()) == -symbols.psi(x) + (2 * pq if c0 and d_neg else 0),
-            "phi_coboundary": phi_delta == -Fraction(pq, 2) * s,
-            "euler_integrality": True,
-        }
-        for name in checks:
-            if not ok[name]:
-                raise VerificationError(f"{name} fails at x = {render_word(x.word)}, y = {render_word(y.word)}")
-            checks[name] += 1
+        checks["euler_integrality"] += 1
     payload = {"pq": [params.p, params.q], "seed": args.seed, "pairs": n, "checks": checks, "ok": True}
     _emit(args, payload)
     return 0

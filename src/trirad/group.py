@@ -10,9 +10,10 @@ c = 0) is decided by the first of three tiers that can:
     because Stab(inf) = +-<T>, and their sign is read off k (`is_cusp_word`);
 (c) certified exact arithmetic on the exact matrix.
 
-`asai_signs` applies the tiers to every partial product of a word, which is
-what `symbols.psi_via_cocycle` consumes.  `Element.classify` needs no arithmetic at all:
-it reads the cyclically reduced word.
+`asai_signs` applies the tiers to every suffix of a word, which is what
+`symbols.psi_via_cocycle` consumes; `Element.asai` applies them to the whole
+word.  `Element.classify` needs no arithmetic at all: it reads the cyclically
+reduced word.
 """
 
 from __future__ import annotations
@@ -84,14 +85,23 @@ def _fmul(A, B):
     """
     (a1, b1, c1, d1), (ea1, eb1, ec1, ed1) = A
     (a2, b2, c2, d2), (ea2, eb2, ec2, ed2) = B
-    xa, xb, xc, xd, ya, yb, yc, yd = map(abs, (a1, b1, c1, d1, a2, b2, c2, d2))
+    xa, xb, xc, xd = abs(a1), abs(b1), abs(c1), abs(d1)
+    ya, yb, yc, yd = abs(a2), abs(b2), abs(c2), abs(d2)
     g = _GAMMA2
-    return (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2), (
+    out = (
+        a1 * a2 + b1 * c2,
+        a1 * b2 + b1 * d2,
+        c1 * a2 + d1 * c2,
+        c1 * b2 + d1 * d2,
+    )
+    # written out entry by entry: a helper for the 2x2 products costs 1.7x the time
+    err = (
         ea1 * ya + eb1 * yc + (xa + ea1) * ea2 + (xb + eb1) * ec2 + g * (xa * ya + xb * yc),
         ea1 * yb + eb1 * yd + (xa + ea1) * eb2 + (xb + eb1) * ed2 + g * (xa * yb + xb * yd),
         ec1 * ya + ed1 * yc + (xc + ec1) * ea2 + (xd + ed1) * ec2 + g * (xc * ya + xd * yc),
         ec1 * yb + ed1 * yd + (xc + ec1) * eb2 + (xd + ed1) * ed2 + g * (xc * yb + xd * yd),
     )
+    return out, err
 
 
 _MARGIN = 64.0
@@ -204,7 +214,12 @@ class Element:
     @classmethod
     def translation(cls, params, k=1):
         """T^k as an element (T = -U S)."""
-        return cls(params, GroupWord(-1, (Syllable("U", 1), Syllable("S", 1))), _normalized=True) ** k
+        t = GroupWord(-1, (Syllable("U", 1), Syllable("S", 1)))
+        w = words.IDENTITY
+        step = t if k >= 0 else t.inverse()
+        for _ in range(abs(k)):
+            w = multiply(w, step, params.p, params.q)
+        return cls(params, w, _normalized=True)
 
     # -- group structure ----------------------------------------------------
 
@@ -231,7 +246,11 @@ class Element:
         return g.inverse() * self * g
 
     def __eq__(self, other):
-        return isinstance(other, Element) and self.params is other.params and self.word == other.word
+        return (
+            isinstance(other, Element)
+            and self.params is other.params
+            and self.word == other.word
+        )
 
     def __hash__(self):
         return hash((self.params.p, self.params.q, self.word))
@@ -276,15 +295,20 @@ class Element:
         reduced words.  Elliptic elements are conjugate into <S> or <U> (one
         syllable), and parabolic ones into Stab(inf) = +-<T> (a rotation of a
         cusp word); every other element with at least two syllables is
-        hyperbolic.
+        hyperbolic.  The answer is cached with the element's symbols.
         """
-        p, q = self.params.p, self.params.q
-        sylls = cyclic_reduce(self.word, p, q)[0].syllables
-        if len(sylls) < 2:
-            return ("central", "elliptic")[len(sylls)]
-        if is_cusp_word(sylls, p, q) or is_cusp_word(sylls[1:] + sylls[:1], p, q):
-            return "parabolic"
-        return "hyperbolic"
+        cached = self._sym.get("class")
+        if cached is None:
+            p, q = self.params.p, self.params.q
+            sylls = cyclic_reduce(self.word, p, q)[0].syllables
+            if len(sylls) < 2:
+                cached = ("central", "elliptic")[len(sylls)]
+            elif is_cusp_word(sylls, p, q) or is_cusp_word(sylls[1:] + sylls[:1], p, q):
+                cached = "parabolic"
+            else:
+                cached = "hyperbolic"
+            self._sym["class"] = cached
+        return cached
 
 
 _US = (Syllable("U", 1), Syllable("S", 1))
@@ -316,41 +340,31 @@ def _asai_past_floats(sylls, sigma, params, exact):
     return asai_sign(exact())
 
 
-def asai_signs(params: GroupParams, word: GroupWord, from_right=False):
-    """Yield the Asai sign of each partial product of `word`, one per syllable.
+def asai_signs(params: GroupParams, word: GroupWord):
+    """Yield the Asai sign of each suffix si...sn of `word`, shortest first.
 
-    From the left the partial products are the prefixes sign * s1...si; from
-    the right they are the suffixes si...sn, without the central sign.  Each
-    step multiplies one syllable into a float shadow and takes the sign from
-    the first tier that decides it: (a) the shadow's margin, (b) the cusp-word
-    test, (c) exact `asai_sign`.  The exact partial product is only built when
-    tier (c) is first reached, and is then brought up to date one syllable per
-    step, so no syllable is multiplied exactly twice.
+    The suffixes carry no central sign.  Each step multiplies one syllable onto
+    the left of a float shadow and takes the sign from the first tier that
+    decides it: (a) the shadow's margin, (b) the cusp-word test, (c) exact
+    `asai_sign`.  The exact suffix is only built when tier (c) is first reached,
+    and is then brought up to date with the syllables met since, so no syllable
+    is multiplied exactly twice.
     """
     sylls = word.syllables
-    n = len(sylls)
-    sigma = 1 if from_right else word.sign
-    fm, exact = params.identity_f, params.identity_matrix
-    if sigma < 0:
-        fm, exact = ((-1.0, 0.0, 0.0, -1.0), fm[1]), -exact
-    done = 0
+    fm, exact, pending = params.identity_f, params.identity_matrix, []
 
-    def exact_product(m):
-        nonlocal exact, done
-        for i in range(done, m):
-            syl = params.syllable_matrix(*sylls[n - 1 - i if from_right else i])
-            exact = syl * exact if from_right else exact * syl
-        done = m
+    def exact_suffix():
+        nonlocal exact
+        for syl in pending:
+            exact = params.syllable_matrix(*syl) * exact
+        pending.clear()
         return exact
 
-    for m in range(1, n + 1):
-        syl = params.syllable_fmat(*sylls[n - m if from_right else m - 1])
-        fm = _fmul(syl, fm) if from_right else _fmul(fm, syl)
+    for i in range(len(sylls) - 1, -1, -1):
+        fm = _fmul(params.syllable_fmat(*sylls[i]), fm)
+        pending.append(sylls[i])
         s = _decided_sign(fm[0][2], fm[1][2])
-        if s is None:
-            part = sylls[n - m :] if from_right else sylls[:m]
-            s = _asai_past_floats(part, sigma, params, lambda: exact_product(m))
-        yield s
+        yield s if s is not None else _asai_past_floats(sylls[i:], 1, params, exact_suffix)
 
 
 def asai_sign(m: Matrix2) -> int:
@@ -455,11 +469,14 @@ def primitive_root(el: Element):
 def _moves(params: GroupParams):
     out = []
     p, q = params.p, params.q
-    for gen, order in (("S", p), ("U", q)):
-        for e in range(1, order):
-            for ee in (e, -e):
-                w = normal_form(GroupWord(1, (Syllable(gen, ee),)), p, q)
-                out.append((w, word_to_fmat(w, params)))
+    for e in range(1, p):
+        for ee in (e, -e):
+            w = normal_form(GroupWord(1, (Syllable("S", ee),)), p, q)
+            out.append((w, word_to_fmat(w, params)))
+    for e in range(1, q):
+        for ee in (e, -e):
+            w = normal_form(GroupWord(1, (Syllable("U", ee),)), p, q)
+            out.append((w, word_to_fmat(w, params)))
     for k in (1, -1):
         w = Element.translation(params, k).word
         out.append((w, word_to_fmat(w, params)))

@@ -24,7 +24,9 @@ from itertools import accumulate, islice
 from operator import mul
 
 from trirad.errors import DomainError, InternalInconsistencyError
-from trirad.exactnum import sign  # noqa: F401  (cli.cmd_verify reads it here)
+# not called here: bench/tracing.py wraps every module binding of `sign`, and
+# its self-test reads `symbols.sign`
+from trirad.exactnum import sign  # noqa: F401
 from trirad.group import Element, _decided_sign, _fmul, asai_sign, asai_signs, is_cusp_word, w_from_signs
 from trirad.words import cyclic_reduce
 
@@ -82,7 +84,7 @@ def psi_via_cocycle(el: Element) -> int:
     p, q = el.params.p, el.params.q
     pq = p * q
     acc_psi, acc_asai = 0, 1
-    for (gen, e), s in zip(reversed(el.word.syllables), asai_signs(el.params, el.word, from_right=True)):
+    for (gen, e), s in zip(reversed(el.word.syllables), asai_signs(el.params, el.word)):
         acc_psi += _seed(gen, e, p, q) + 2 * pq * w_from_signs(1, acc_asai, s)
         acc_asai = s
     if el.word.sign < 0:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PQ_LIST, random_element
+from trirad import group
 from trirad.errors import DomainError, NotInGroupError
 from trirad.exactnum import get_field, sign
 from trirad.group import (
@@ -137,7 +138,8 @@ def test_classify_is_conjugation_invariant(rng):
 
 
 def _partial_products(params, word, from_right):
-    """(syllables, exact product, float shadow) of each partial product, in fold order."""
+    """(syllables, exact product, float shadow) of each prefix (with the central
+    sign) or each suffix (without it), shortest first."""
     sylls = word.syllables
     sign_ = 1 if from_right else word.sign
     exact = params.identity_matrix if sign_ > 0 else -params.identity_matrix
@@ -165,18 +167,32 @@ def _all_words(params, k):
 
 
 @pytest.mark.parametrize("p,q", PQ_LIST)
-def test_cusp_tier_matches_exact_arithmetic(p, q, rng):
-    # c = 0 exactly on the cusp words, and the fold's signs are the exact Asai signs
+def test_cusp_tier_matches_exact_arithmetic(p, q, rng, monkeypatch):
+    # c = 0 exactly on the cusp words; Element.asai on every prefix and the
+    # suffix fold's signs are the exact Asai signs, also when the float tier
+    # leaves every third step open and the exact suffix must catch up
     params = get_params(p, q)
     ws = _all_words(params, 4) + [random_element(params, rng, max_syllables=12).word for _ in range(20)]
     for w in ws:
         for sgn in (1, -1):
             w = GroupWord(sgn, w.syllables)
-            for from_right in (False, True):
-                parts = list(_partial_products(params, w, from_right))
-                for sylls, exact, _ in parts:
-                    assert is_cusp_word(sylls, p, q) == exact.c.is_zero(), sylls
-                assert list(asai_signs(params, w, from_right)) == [asai_sign(m) for _, m, _ in parts], w
+            for sylls, exact, _ in _partial_products(params, w, from_right=False):
+                assert is_cusp_word(sylls, p, q) == exact.c.is_zero(), sylls
+                x = Element(params, GroupWord(sgn, sylls), _normalized=True)
+                assert x.asai() == asai_sign(exact), x
+            suffixes = list(_partial_products(params, w, from_right=True))
+            for sylls, exact, _ in suffixes:
+                assert is_cusp_word(sylls, p, q) == exact.c.is_zero(), sylls
+            expected = [asai_sign(m) for _, m, _ in suffixes]
+            assert list(asai_signs(params, w)) == expected, w
+            steps = iter(range(10**6))
+
+            def every_third_open(x, err):
+                return None if next(steps) % 3 == 2 else _decided_sign(x, err)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(group, "_decided_sign", every_third_open)
+                assert list(asai_signs(params, w)) == expected, w
 
 
 def _long_words(params, rng):
