@@ -13,15 +13,19 @@ c = 0) is decided by the first of three tiers that can:
 `asai_signs` applies the tiers to every suffix of a word, which is what
 `symbols.psi_via_cocycle` consumes; `Element.asai` applies them to the whole
 word.  `Element.classify` needs no arithmetic at all: it reads the cyclically
-reduced word.
+reduced word, and `primitive_root` orients and checks its root on words too.
+
+`matrix_to_word` recognizes an exact matrix by the ping-pong lemma for the
+amalgam <S> *_{+-I} <U>: the sign of Re m(i) names the generator of the first
+syllable, the one exponent whose inverse sends m(i) off that side names the
+syllable, and peeling it exactly repeats the step on the rest.  It works for
+every (p,q) with exact signs only.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from trirad import exactnum, words
@@ -279,6 +283,11 @@ class Element:
         s = _decided_sign(t4[0] + t4[3], err[0] + err[3])
         if s is not None:
             return s
+        # tr = 0 exactly when m^2 = -I, i.e. on the conjugates of S^(p/2) and
+        # U^(q/2); for odd p (or q) the exponent p/2 matches no syllable
+        p, q = self.params.p, self.params.q
+        if cyclic_reduce(self.word, p, q)[0].syllables in ((Syllable("S", p / 2),), (Syllable("U", q / 2),)):
+            return 0
         return sign(self.matrix.trace).value
 
     def asai(self) -> int:
@@ -446,19 +455,14 @@ def primitive_root(el: Element):
     if cls == "hyperbolic":
         if rho.asai() < 0:
             rho = rho.inverse()
-    else:  # parabolic: conjugates of T have c <= 0 (c = -lambda h^2)
-        cs = sign(rho.matrix.c).value
-        if cs > 0:
-            rho = rho.inverse()
-        elif cs == 0 and sign(rho.matrix.b).value < 0:
-            rho = rho.inverse()
-    target = el.matrix
-    cand = rho**n
-    if cand.matrix == target or (-cand).matrix == target:
-        return rho, n
-    cand = rho ** (-n)
-    if cand.matrix == target or (-cand).matrix == target:
-        return rho, -n
+    elif rho.asai() > 0 and rho.word.syllables != _US:
+        # h T h^-1 has c = -lambda h_c^2, so Asai sign -1 unless it is T itself
+        # (c = 0, a = 1, syllables U S); the conjugates of T^-1 all have sign +1
+        rho = rho.inverse()
+    # the normal form is unique, so comparing syllables is an exact check up to +-I
+    for nu in (n, -n):
+        if (rho**nu).word.syllables == el.word.syllables:
+            return rho, nu
     raise InternalInconsistencyError("primitive root does not generate the element")
 
 
@@ -466,51 +470,25 @@ def primitive_root(el: Element):
 # matrix recognition
 
 
-def _moves(params: GroupParams):
-    out = []
-    p, q = params.p, params.q
-    for e in range(1, p):
-        for ee in (e, -e):
-            w = normal_form(GroupWord(1, (Syllable("S", ee),)), p, q)
-            out.append((w, word_to_fmat(w, params)))
-    for e in range(1, q):
-        for ee in (e, -e):
-            w = normal_form(GroupWord(1, (Syllable("U", ee),)), p, q)
-            out.append((w, word_to_fmat(w, params)))
-    for k in (1, -1):
-        w = Element.translation(params, k).word
-        out.append((w, word_to_fmat(w, params)))
-    return out
-
-
-def _coeff_bits(m: Matrix2) -> int:
-    bits = 0
-    for x in m.entries():
-        for row in x.coeffs:
-            for c in row:
-                if isinstance(c, Fraction):
-                    bits += c.numerator.bit_length() + c.denominator.bit_length()
-                else:
-                    bits += int(c).bit_length()
-    return bits
-
-
-def _near_identity(t4, tol=1e-6):
-    a, b, c, d = t4
-    if abs(b) < tol and abs(c) < tol:
-        if abs(a - 1) < tol and abs(d - 1) < tol:
-            return 1
-        if abs(a + 1) < tol and abs(d + 1) < tol:
-            return -1
-    return None
+def _side(m: Matrix2) -> int:
+    """Sign of Re m(i), which is the sign of ac + bd."""
+    return sign(m.a * m.c + m.b * m.d).value
 
 
 def matrix_to_word(m: Matrix2, params: GroupParams) -> GroupWord:
-    """Recognize an exact matrix as a group word.
+    """Recognize an exact matrix as a group word by ping-pong on the point m(i).
 
-    Best-first reduction of the point m(2i) toward 2i by left multiplication
-    with generator powers; an iteration cap proportional to the coefficient
-    bit-size converts non-members into errors.  The returned word is verified
+    Gamma_{p,q} is the amalgam <S> *_{+-I} <U>.  U^e (e = 1..q-1) maps Re z <= 0
+    into pairwise disjoint sectors of Re z > 0, and S^e (e = 1..p-1) maps
+    Re z >= 0 into disjoint sectors of Re z < 0; at p = 2, S fixes i.  So for a
+    normal-form word m = +-s1...sn the point m(i) lies in the sector of s1, the
+    one exception being m = +-S at p = 2.  While Re m(i) is nonzero, s1 is the
+    one syllable g of that side's generator for which g^-1 m(i) leaves the
+    side's half-plane; it is peeled exactly (g^-1 = -g^(n-e), n the generator's
+    order).  Each peel moves m(i) one tile closer to the imaginary axis in the
+    tiling by the Gamma-images of that axis, so the loop ends on every real
+    matrix, member or not, with no cap.  What is left must be +-I, or +-S at
+    p = 2; anything else is not in the group.  The returned word is verified
     exactly against m.
     """
     field = params.field
@@ -519,44 +497,24 @@ def matrix_to_word(m: Matrix2, params: GroupParams) -> GroupWord:
             raise DomainError("matrix entries not in the ambient ring")
     if m.det() != field.one:
         raise NotInGroupError("determinant is not 1")
-    moves = _moves(params)
-    cap = 10 * _coeff_bits(m) + 2000
-    start = (m.float_entries(), (0.0,) * 4)
-
-    def score(fm):
-        a, b, c, d = fm[0]
-        # image of 2i under the matrix; squared hyperbolic-ish distance to 2i
-        den = c * 2j + d
-        z = (a * 2j + b) / den
-        y = z.imag
-        if y <= 0:
-            return float("inf")
-        return (z.real**2 + (y - 2.0) ** 2) / y
-
-    counter = 0
-    heap = [(score(start), 0, start, ())]
-    visited = set()
-    popped = 0
-    while heap and popped < cap:
-        _, _, cur, path = heapq.heappop(heap)
-        popped += 1
-        key = tuple(round(x, 7) for x in cur[0])
-        if key in visited:
-            continue
-        visited.add(key)
-        eps = _near_identity(cur[0])
-        if eps is not None:
-            w = words.IDENTITY
-            for idx in path:
-                w = w.concat(moves[idx][0].inverse())
-            w = normal_form(GroupWord(eps * w.sign, w.syllables), params.p, params.q)
-            if word_to_matrix(w, params) == m:
-                return w
-            # false positive at float precision; keep searching
-        for idx, (mw, mf) in enumerate(moves):
-            nxt = _fmul(mf, cur)
-            s = score(nxt)
-            if s != float("inf"):
-                counter += 1
-                heapq.heappush(heap, (s, counter, nxt, path + (idx,)))
-    raise NotInGroupError("not recognized as a group element (iteration cap reached)")
+    sylls, sgn, cur, side = [], 1, m, _side(m)
+    while side:
+        gen, n = ("U", params.q) if side > 0 else ("S", params.p)
+        for e in range(1, n):
+            rest = params.syllable_matrix(gen, n - e) * cur
+            new_side = _side(rest)
+            if new_side != side:
+                break
+        else:
+            break
+        sylls.append(Syllable(gen, e))
+        sgn, cur, side = -sgn, rest, new_side
+    if params.p == 2 and cur in (params.S, -params.S):
+        sylls.append(Syllable("S", 1))
+        sgn, cur = -sgn, params.S * cur
+    if cur not in (params.identity_matrix, -params.identity_matrix):
+        raise NotInGroupError("not a group element: ping-pong reduction left a non-central residual")
+    w = GroupWord(sgn if cur == params.identity_matrix else -sgn, tuple(sylls))
+    if word_to_matrix(w, params) != m:
+        raise InternalInconsistencyError("recognized word does not reproduce the matrix")
+    return w

@@ -45,7 +45,7 @@ def _symbol_value(el: Element, variant: str) -> int:
     if variant == "psi":
         if cls != "hyperbolic":
             raise PreconditionError(f"variant psi requires tr > 2 (hypotheses of the lens theorem); element is {cls}")
-        if el.trace_sign() <= 0 or _tr_gt_2(el) is False:
+        if el.trace_sign() <= 0:
             raise PreconditionError("variant psi requires tr > 2")
         if el.asai() <= 0:
             raise PreconditionError("variant psi requires c > 0")
@@ -59,11 +59,6 @@ def _symbol_value(el: Element, variant: str) -> int:
     if variant == "Psi_e":
         return modified_Psi_e(el)
     raise DomainError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-
-
-def _tr_gt_2(el: Element) -> bool:
-    # hyperbolic with positive trace always has |tr| > 2; classification did the work
-    return el.classify() == "hyperbolic" and el.trace_sign() > 0
 
 
 def lk_lens(el: Element, variant: str = "Psi_e") -> Fraction:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,8 @@ import pytest
 
 import trirad
 from trirad.cli import main
+from trirad.group import Element, get_params
+from trirad.words import parse_word
 
 
 def run_python(*args):
@@ -42,6 +45,16 @@ def test_symbol_from_matrix(capsys):
     assert code == 0
     assert d["psi"] == 0
     assert d["word"] == "U * S * U^2 * S"
+    # 60 (U^e S) pairs: 33-bit entries, past where a float search lost its way
+    rng = random.Random(3)
+    text = " * ".join(f"U^{rng.randint(1, 2)} * S" for _ in range(60))
+    m = Element(get_params(2, 3), parse_word(text)).matrix
+    a, b, c, d_ = (int(x.rational_value()) for x in m.entries())
+    assert max(abs(v) for v in (a, b, c, d_)).bit_length() >= 33
+    code, by_word = run_json(capsys, "symbol", "--pq", "2,3", "--word", text)
+    code_m, by_matrix = run_json(capsys, "symbol", "--pq", "2,3", f"--matrix={a},{b};{c},{d_}")
+    assert code == code_m == 0
+    assert by_matrix == by_word
 
 
 def test_symbol_generators(capsys):

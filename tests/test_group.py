@@ -1,6 +1,7 @@
 """Matrices, classification, lifts and matrix recognition."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -330,11 +331,52 @@ def test_primitive_root_of_negative(P25):
     assert rho.trace_sign() > 0
 
 
-@pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (3, 4)])
+def _random_hyperbolic(params, rng, max_syllables=8):
+    while True:
+        x = random_element(params, rng, max_syllables, min_syllables=2)
+        if x.classify() == "hyperbolic":
+            return x
+
+
+@pytest.mark.parametrize("p,q", PQ_LIST)
+def test_primitive_root_orientation_matches_exact_matrix(p, q, rng):
+    # the orientation read off the word against the exact matrix: tr > 0, and
+    # c > 0 (hyperbolic) or c < 0, else c = 0 and b > 0 (parabolic: a conjugate of T)
+    params = get_params(p, q)
+    xs = [_random_hyperbolic(params, rng) ** k for k in (1, 2, -1, -3)]
+    xs += [Element.translation(params, k).conjugate(random_element(params, rng)) for k in (1, -1, 3, -2)]
+    xs += [Element.translation(params, k) for k in (1, -1, 2)]
+    for x in xs + [-x for x in xs]:
+        rho, nu = primitive_root(x)
+        m = rho.matrix
+        assert is_primitive(rho) and sign(m.trace).value > 0, x
+        if x.classify() == "hyperbolic":
+            assert sign(m.c).value > 0, x
+        else:
+            assert sign(m.c).value < 0 or (m.c.is_zero() and sign(m.b).value > 0), x
+        assert (rho**nu).matrix in (x.matrix, -x.matrix), x
+
+
+@pytest.mark.parametrize("p,q", [(2, 5), (2, 7), (3, 4), (4, 5)])
+def test_trace_zero_read_off_the_word(p, q, rng):
+    # tr = 0 exactly on the conjugates of S^(p/2) and U^(q/2); no exact matrix is built
+    params = get_params(p, q)
+    halves = [Element.generator(params, g, n // 2) for g, n in (("S", p), ("U", q)) if n % 2 == 0]
+    for h in halves:
+        for _ in range(6):
+            x = h.conjugate(random_element(params, rng, max_syllables=12))
+            for y in (x, -x):
+                assert y.trace_sign() == 0 and y._matrix is None, y
+                assert y.matrix.trace.is_zero()
+
+
+@pytest.mark.parametrize("p,q", PQ_LIST)
 def test_matrix_round_trip(p, q, rng):
     params = get_params(p, q)
-    for _ in range(12):
-        x = random_element(params, rng, max_syllables=10)
+    xs = [random_element(params, rng, max_syllables=n) for n in (10, 10, 40)]
+    xs += [random_element(params, rng, 200, min_syllables=200), Element.identity(params)]
+    xs += [Element.translation(params, k) for k in (1, -1, 2, -5, 150, -150)]
+    for x in xs + [-x for x in xs]:
         assert matrix_to_word(x.matrix, params) == x.word
 
 
@@ -345,12 +387,21 @@ def test_matrix_to_word_rejects_det(P23):
         matrix_to_word(m, P23)
 
 
-def test_matrix_to_word_rejects_non_member(P25):
+def test_matrix_to_word_rejects_non_member(P23, P25, rng):
     # an integer translation has det 1 but is not in Gamma_{2,5}
     f = P25.field
-    m = Matrix2(f.one, f.one, f.zero, f.one)
-    with pytest.raises(NotInGroupError):
-        matrix_to_word(m, P25)
+    ms = [(P25, Matrix2(f.one, f.one, f.zero, f.one))]
+    # det 1 with non-integer rational entries: not in SL2(Z)
+    entries = (Fraction(3, 2), Fraction(1, 2), Fraction(1, 2), Fraction(5, 6))
+    ms.append((P23, Matrix2(*(P23.field.from_rational(x) for x in entries))))
+    for p, q in [(2, 3), (2, 5), (3, 4), (5, 7)]:
+        params = get_params(p, q)
+        f = params.field
+        shear = Matrix2(f.one, f.from_rational(Fraction(1, 7)), f.zero, f.one)
+        ms += [(params, random_element(params, rng, max_syllables=20).matrix * shear) for _ in range(3)]
+    for params, m in ms:
+        with pytest.raises(NotInGroupError):
+            matrix_to_word(m, params)
 
 
 def test_matrix_to_word_rejects_foreign_field(P23):
