@@ -3,7 +3,13 @@
 The (2,3) verification uses the explicit q-expansions
     log Delta(z) = 2 pi i z - 24 sum_n sigma_{-1}(n) q^n
     E2(z) = 1 - 24 sum_n sigma_1(n) q^n,   E2*(z) = E2(z) - 3/(pi Im z)
-to check the cycle-integral and winding-number formulas against the exact psi.
+to check the cycle-integral and winding-number formulas against the exact psi,
+along one period t in [0, log xi] of the closed geodesic, with the q-series cut
+at N terms where e^(-2 pi N min Im z) <= tol/1000.  The cycle integral of E2 is
+a Gauss-Legendre sum in t of order 16, 32, ..., 1024: it returns the first
+order-2n sum within tol/20 of the order-n sum (the error estimate; the analytic
+integrand makes the order-2n error far smaller), and raises NumericError when
+even orders 512 and 1024 differ by more.
 Class enumeration and the arctan distribution statistics work for any (p,q).
 """
 
@@ -17,7 +23,7 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.polynomial import polyval
 
 from trirad.errors import DomainError, NumericError, PreconditionError
 from trirad.group import Element, GroupParams, is_primitive
@@ -74,9 +80,24 @@ def geodesic_data(el: Element) -> GeodesicData:
     return GeodesicData(w=w, w_prime=w_prime, xi=xi, M=M, length=2.0 * math.log(xi))
 
 
-def _moebius(M, z):
-    (A, B), (C, D) = M
-    return (A * z + B) / (C * z + D)
+def _geodesic_path_23(el: Element, who: str, tol: float):
+    """xi, the path t -> (z(t), z'(t)) of one period t in [0, log xi], and the truncation N.
+
+    z(t) = (w i e^(2t) + w')/(i e^(2t) + 1) runs along the axis of el from
+    M i to el(M i); N bounds the q-series tail by tol where Im z is least.
+    """
+    _check_23_hyperbolic_rep(el, who)
+    gd = geodesic_data(el)
+    w, wp, xi = gd.w, gd.w_prime, gd.xi
+    span = w - wp
+    y_top = xi * xi
+    N = _truncation_for(y_top * span / (1.0 + y_top * y_top), tol)
+
+    def path(t):
+        iy = 1j * np.exp(2.0 * t)
+        return (w * iy + wp) / (iy + 1.0), 2.0 * iy * span / (iy + 1.0) ** 2
+
+    return xi, path, N
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +106,7 @@ def _moebius(M, z):
 
 @lru_cache(maxsize=8)
 def _sigma_tables(N: int):
-    """sigma_1(n) and sigma_{-1}(n) = sigma_1(n)/n for n <= N."""
+    """sigma_1(n) and sigma_{-1}(n) = sigma_1(n)/n for n <= N (0 at n = 0)."""
     s1 = np.zeros(N + 1)
     for d in range(1, N + 1):
         s1[d::d] += d
@@ -94,31 +115,24 @@ def _sigma_tables(N: int):
     return s1, s1 / n
 
 
-def log_delta_23(z: complex, N: int = 200) -> complex:
-    """Truncated log Delta; the tail is O(e^(-2 pi N Im z))."""
-    if z.imag <= 0:
-        raise DomainError("log_delta_23 requires Im z > 0")
+def _q_series(z, N: int, k: int):
+    """sum_{n=1}^N sigma_k(n) q^n, q = e^(2 pi i z), k = 1 or -1; z a complex or an array."""
     if N < 1:
         raise DomainError("truncation N must be >= 1")
-    _, sm1 = _sigma_tables(N)
-    qq = cmath.exp(2j * cmath.pi * z)
-    total = 0.0 + 0.0j
-    qn = 1.0 + 0.0j
-    for n in range(1, N + 1):
-        qn *= qq
-        total += sm1[n] * qn
-    return 2j * cmath.pi * z - 24.0 * total
+    z = np.asarray(z, dtype=complex)
+    if np.any(z.imag <= 0):
+        raise DomainError("q-expansions require Im z > 0")
+    total = polyval(np.exp(2j * np.pi * z), _sigma_tables(N)[k < 0])
+    return total if total.ndim else complex(total)
+
+
+def log_delta_23(z: complex, N: int = 200) -> complex:
+    """Truncated log Delta; the tail is O(e^(-2 pi N Im z))."""
+    return 2j * np.pi * z - 24.0 * _q_series(z, N, -1)
 
 
 def eisenstein_E2(z: complex, N: int = 200) -> complex:
-    s1, _ = _sigma_tables(N)
-    qq = cmath.exp(2j * cmath.pi * z)
-    total = 0.0 + 0.0j
-    qn = 1.0 + 0.0j
-    for n in range(1, N + 1):
-        qn *= qq
-        total += s1[n] * qn
-    return 1.0 - 24.0 * total
+    return 1.0 - 24.0 * _q_series(z, N, 1)
 
 
 def _truncation_for(y_min: float, tol: float) -> int:
@@ -135,6 +149,11 @@ class CycleIntegralResult:
     residual: float
 
 
+# Gauss-Legendre orders tried in turn, and their nodes and weights
+_GL_ORDERS = tuple(16 << k for k in range(7))
+_leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+
+
 def cycle_integral_23(el: Element, tol: float = 1e-6) -> CycleIntegralResult:
     """Quadrature of E2* along the closed geodesic; should return psi (r=1).
 
@@ -144,26 +163,25 @@ def cycle_integral_23(el: Element, tol: float = 1e-6) -> CycleIntegralResult:
     _check_23_hyperbolic_rep(el, "cycle_integral_23")
     if not is_primitive(el):
         raise PreconditionError("cycle_integral_23 requires a primitive element")
-    gd = geodesic_data(el)
-    w, wp, xi = gd.w, gd.w_prime, gd.xi
-    span = w - wp
-    y_top = xi * xi
-    y_min = min(span / 2.0, y_top * span / (1.0 + y_top * y_top))
-    N = _truncation_for(y_min, tol)
+    xi, path, N = _geodesic_path_23(el, "cycle_integral_23", tol)
+    half = 0.5 * math.log(xi)
 
-    def holo(y, part):
-        z = complex(w * 1j * y + wp) / complex(1j * y + 1.0)
-        dz = 1j * span / complex(1j * y + 1.0) ** 2
-        val = eisenstein_E2(z, N) * dz
-        return val.real if part == 0 else val.imag
+    def gauss(n):
+        x, wts = _leggauss(n)
+        z, dz = path(half * (x + 1.0))
+        return half * np.sum(wts * eisenstein_E2(z, N) * dz)
 
-    re, re_err = quad(holo, 1.0, y_top, args=(0,), epsabs=tol / 20, epsrel=0, limit=400)
-    im, im_err = quad(holo, 1.0, y_top, args=(1,), epsabs=tol / 20, epsrel=0, limit=400)
-    if re_err + im_err > tol / 2:
+    coarse = gauss(_GL_ORDERS[0])
+    for n in _GL_ORDERS[1:]:
+        fine = gauss(n)
+        if abs(fine - coarse) <= tol / 20:
+            break
+        coarse = fine
+    else:
         raise NumericError("quadrature did not converge within the requested tolerance")
     # j(gamma, M i) = xi^{-1} (1 + i xi^2)/(1 + i)
-    logj = cmath.log((1.0 + 1j * y_top) / (1.0 + 1j)) - math.log(xi)
-    total = complex(re, im) + (6j / math.pi) * logj
+    logj = cmath.log((1.0 + 1j * xi * xi) / (1.0 + 1j)) - math.log(xi)
+    total = complex(fine) + (6j / math.pi) * logj
     if abs(total.imag) > 100 * tol:
         raise NumericError("cycle integral has a non-negligible imaginary part")
     value = total.real
@@ -181,46 +199,21 @@ def winding_number_23(el: Element, samples: Optional[int] = None) -> int:
 
 
 def winding_residual_23(el: Element, samples: Optional[int] = None):
-    gd = geodesic_data(el)
-    w, wp, xi = gd.w, gd.w_prime, gd.xi
-    span = w - wp
-    y_top = xi * xi
-    y_min = min(span / 2.0, y_top * span / (1.0 + y_top * y_top))
-    N = _truncation_for(y_min, 1e-8)
-    s1, sm1 = _sigma_tables(N)
-
-    def phases(n_samples):
+    xi, path, N = _geodesic_path_23(el, "winding_residual_23", 1e-8)
+    n_samples = samples or 1024
+    while True:
         t = np.linspace(0.0, math.log(xi), n_samples)
-        y = np.exp(2.0 * t)
-        z = (w * 1j * y + wp) / (1j * y + 1.0)
-        qq = np.exp(2j * np.pi * z)
-        total = np.zeros_like(z)
-        qn = np.ones_like(z)
-        for n in range(1, N + 1):
-            qn = qn * qq
-            total += sm1[n] * qn
-        logdelta = 2j * np.pi * z - 24.0 * total
         # j(g_t, i) = (e^t i + e^-t)/sqrt(span); constant |.| factors do not move the phase
         logj = np.log(np.exp(t) * 1j + np.exp(-t))
-        return np.imag(logdelta) - 12.0 * np.imag(logj)
-
-    n_samples = samples or 1024
-    explicit = samples is not None
-    while True:
-        ph = phases(n_samples)
-        steps = np.diff(ph)
+        ph = np.imag(log_delta_23(path(t)[0], N)) - 12.0 * np.imag(logj)
         # unwrap: each step should already be small
-        wrapped = (steps + np.pi) % (2 * np.pi) - np.pi
-        max_step = float(np.max(np.abs(wrapped))) if len(wrapped) else 0.0
-        if max_step >= np.pi * 0.5:
-            if explicit or n_samples >= (1 << 18):
-                raise NumericError("undersampled winding path: phase step >= pi")
-            n_samples *= 2
-            continue
-        total = float(np.sum(wrapped))
-        winding = round(total / (2 * np.pi))
-        residual = abs(total / (2 * np.pi) - winding)
-        return winding, residual
+        wrapped = (np.diff(ph) + np.pi) % (2 * np.pi) - np.pi
+        if not (len(wrapped) and np.max(np.abs(wrapped)) >= np.pi * 0.5):
+            turns = float(np.sum(wrapped)) / (2 * np.pi)
+            return round(turns), abs(turns - round(turns))
+        if samples is not None or n_samples >= (1 << 18):
+            raise NumericError("undersampled winding path: phase step >= pi")
+        n_samples *= 2
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ dictionaries).  Error classes map to distinct exit codes:
                                 8  internal inconsistency
                                 9  randomized verification failure
 
-The analytic layer (numpy, scipy) is imported only by the commands that use it.
+The analytic layer (numpy) is imported only by the commands that use it.
 """
 
 from __future__ import annotations

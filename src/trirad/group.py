@@ -286,7 +286,7 @@ class Element:
         # tr = 0 exactly when m^2 = -I, i.e. on the conjugates of S^(p/2) and
         # U^(q/2); for odd p (or q) the exponent p/2 matches no syllable
         p, q = self.params.p, self.params.q
-        if cyclic_reduce(self.word, p, q)[0].syllables in ((Syllable("S", p / 2),), (Syllable("U", q / 2),)):
+        if self.cyclic_reduce()[0].syllables in ((Syllable("S", p / 2),), (Syllable("U", q / 2),)):
             return 0
         return sign(self.matrix.trace).value
 
@@ -309,7 +309,7 @@ class Element:
         cached = self._sym.get("class")
         if cached is None:
             p, q = self.params.p, self.params.q
-            sylls = cyclic_reduce(self.word, p, q)[0].syllables
+            sylls = self.cyclic_reduce()[0].syllables
             if len(sylls) < 2:
                 cached = ("central", "elliptic")[len(sylls)]
             elif is_cusp_word(sylls, p, q) or is_cusp_word(sylls[1:] + sylls[:1], p, q):
@@ -317,6 +317,13 @@ class Element:
             else:
                 cached = "hyperbolic"
             self._sym["class"] = cached
+        return cached
+
+    def cyclic_reduce(self):
+        """(reduced, g) with word = g * reduced * g^-1, reduced cyclically reduced; cached."""
+        cached = self._sym.get("cyclic")
+        if cached is None:
+            cached = self._sym["cyclic"] = cyclic_reduce(self.word, self.params.p, self.params.q)
         return cached
 
 
@@ -430,7 +437,7 @@ def is_primitive(el: Element) -> bool:
     cls = el.classify()
     if cls in ("elliptic", "central"):
         raise DomainError(f"is_primitive requires a non-elliptic, non-central element (got {cls})")
-    w, _ = cyclic_reduce(el.word, el.params.p, el.params.q)
+    w, _ = el.cyclic_reduce()
     return minimal_period(w.syllables) == len(w.syllables)
 
 
@@ -444,7 +451,7 @@ def primitive_root(el: Element):
     cls = el.classify()
     if cls in ("elliptic", "central"):
         raise DomainError(f"primitive_root requires a non-elliptic, non-central element (got {cls})")
-    w, conj = cyclic_reduce(el.word, params.p, params.q)
+    w, conj = el.cyclic_reduce()
     m = minimal_period(w.syllables)
     n = len(w.syllables) // m
     g = Element(params, conj)

@@ -15,7 +15,6 @@ from typing import Optional
 from trirad.errors import DomainError, PreconditionError
 from trirad.group import Element, is_primitive, primitive_root
 from trirad.symbols import homogeneous_Psi_h, modified_Psi_e, psi, rademacher_Psi
-from trirad.words import cyclic_reduce
 
 VARIANTS = ("psi", "Psi", "Psi_h", "Psi_e")
 
@@ -71,7 +70,7 @@ def _root_symbol(el: Element, variant: str) -> int:
     cls = el.classify()
     if cls == "elliptic":
         # elliptic classes are conjugate into <S> or <U>; the root is the generator
-        w, _ = cyclic_reduce(el.word, el.params.p, el.params.q)
+        w, _ = el.cyclic_reduce()
         gen = w.syllables[0].gen
         return -el.params.q if gen == "S" else -el.params.p
     if cls == "central":

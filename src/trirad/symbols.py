@@ -28,7 +28,6 @@ from trirad.errors import DomainError, InternalInconsistencyError
 # its self-test reads `symbols.sign`
 from trirad.exactnum import sign  # noqa: F401
 from trirad.group import Element, _decided_sign, _fmul, asai_sign, asai_signs, is_cusp_word, w_from_signs
-from trirad.words import cyclic_reduce
 
 
 def _c_sign(el: Element) -> int:
@@ -124,7 +123,7 @@ def homogeneous_Psi_h(el: Element) -> int:
 def modified_Psi_e(el: Element) -> int:
     if el.classify() != "elliptic":
         return rademacher_Psi(el)
-    w, _ = cyclic_reduce(el.word, el.params.p, el.params.q)
+    w, _ = el.cyclic_reduce()
     return _seed(*w.syllables[0], el.params.p, el.params.q)
 
 
@@ -184,7 +183,7 @@ def ghys_coding_23(el: Element) -> EpsilonCoding:
         raise DomainError("epsilon coding is defined for (p,q) = (2,3) only")
     if el.classify() != "hyperbolic":
         raise DomainError("epsilon coding requires a hyperbolic element")
-    w, _ = cyclic_reduce(el.word, 2, 3)
+    w, _ = el.cyclic_reduce()
     sylls = w.syllables
     if sylls and sylls[0].gen != "S":
         sylls = sylls[1:] + sylls[:1]

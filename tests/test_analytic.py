@@ -2,8 +2,15 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+
+import trirad
 
 from trirad.analytic import (
     ClassTable,
@@ -87,6 +94,30 @@ def test_eisenstein_E2_weight_two_defect():
     lhs = eisenstein_E2(-1 / z)
     rhs = z * z * eisenstein_E2(z) + 12 * z / (2j * math.pi)
     assert abs(lhs - rhs) < 1e-9
+    for bad in (1.0 + 0j, 0.5 - 1j):
+        with pytest.raises(DomainError):
+            eisenstein_E2(bad)
+    with pytest.raises(DomainError):
+        eisenstein_E2(1j, N=0)
+    with pytest.raises(DomainError):
+        log_delta_23(1j, N=0)
+
+
+def test_q_series_matches_the_termwise_sum():
+    # the same truncated sums written out term by term, on scalars and on arrays
+    zs = [0.1 + 1.3j, -0.4 + 0.2j, 2.7 + 0.05j]
+    s1 = [sum(d for d in range(1, n + 1) if n % d == 0) for n in range(1, 201)]
+    for z in zs:
+        qq = cmath.exp(2j * cmath.pi * z)
+        e2 = 1 - 24 * sum(s * qq**n for n, s in enumerate(s1, 1))
+        ld = 2j * cmath.pi * z - 24 * sum(s / n * qq**n for n, s in enumerate(s1, 1))
+        assert abs(eisenstein_E2(z) - e2) < 1e-9 * max(1.0, abs(e2))
+        assert abs(log_delta_23(z) - ld) < 1e-9 * max(1.0, abs(ld))
+    arr = np.array(zs)
+    assert np.allclose(eisenstein_E2(arr), [eisenstein_E2(z) for z in zs], rtol=1e-14, atol=0)
+    assert np.allclose(log_delta_23(arr), [log_delta_23(z) for z in zs], rtol=1e-14, atol=0)
+    with pytest.raises(DomainError):
+        log_delta_23(np.array([1j, 0.5 + 0j]))
 
 
 def test_cycle_integral_examples(P23):
@@ -108,6 +139,43 @@ def test_cycle_integral_preconditions(P23):
         cycle_integral_23(x**2)
     with pytest.raises(DomainError):
         cycle_integral_23(el(get_params(2, 5), "U * S * U^3"))
+
+
+def test_winding_residual_preconditions(P23):
+    with pytest.raises(DomainError):
+        winding_residual_23(-el(get_params(2, 5), "U * S * U^2"))
+    with pytest.raises(PreconditionError):
+        winding_residual_23(Element.translation(P23, 3))
+    with pytest.raises(PreconditionError):
+        winding_residual_23(el(P23, "S * U * S * U^2"))  # c < 0 representative
+
+
+def test_cycle_integral_order_cap(P23):
+    # no Gauss-Legendre order reaches 1e-30 in double precision
+    with pytest.raises(NumericError):
+        cycle_integral_23(el(P23, "U * S * U^2 * S"), tol=1e-30)
+
+
+def test_cycle_integral_on_ten_syllable_classes(P23):
+    reps = []
+    for entry in enumerate_classes(P23, 10).entries:
+        if abs(entry.trace) >= 100:
+            continue
+        x = Element(P23, entry.word, _normalized=True)
+        if x.trace_sign() < 0:
+            x = -x
+        reps.append(x if x.asai() > 0 else x.inverse())
+    assert len(reps) == 12
+    for x in reps:
+        res = cycle_integral_23(x)
+        assert res.residual < 1e-6, (x, res)
+
+
+def test_import_leaves_out_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(trirad.__file__).parents[1]))
+    code = "import sys, trirad.analytic; print('scipy' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0 and res.stdout.strip() == "False", res.stdout + res.stderr
 
 
 def test_winding_examples(P23):

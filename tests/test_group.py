@@ -33,6 +33,8 @@ from trirad.group import (
     word_to_fmat,
     word_to_matrix,
 )
+from trirad.linking import lk_s3
+from trirad.symbols import ghys_coding_23, modified_Psi_e
 from trirad.words import GroupWord, Syllable, parse_word
 
 
@@ -329,6 +331,17 @@ def test_primitive_root_of_negative(P25):
     rho, nu = primitive_root(-(x**2))
     assert abs(nu) == 2
     assert rho.trace_sign() > 0
+
+
+def test_cyclic_reduction_is_computed_once_per_element(P23, monkeypatch):
+    reduced = []
+    real = group.cyclic_reduce
+    monkeypatch.setattr(group, "cyclic_reduce", lambda w, p, q: reduced.append(w) or real(w, p, q))
+    x = el(P23, "U * S * U * S * U^2 * S * U")  # U (S U S U^2 S U^2) U^-1
+    x.classify(), x.trace_sign(), is_primitive(x), primitive_root(x), ghys_coding_23(x)
+    e = el(P23, "U * S * U^2")  # a conjugate of S: trace 0, read off the reduced word
+    e.classify(), e.trace_sign(), modified_Psi_e(e), lk_s3(e)
+    assert reduced.count(x.word) == 1 and reduced.count(e.word) == 1
 
 
 def _random_hyperbolic(params, rng, max_syllables=8):
