@@ -282,7 +282,7 @@ def enumerate_classes(params: GroupParams, max_syllables: int, max_workers=None)
         el = Element(params, word, _normalized=True)
         if el.classify() != "hyperbolic":
             return None
-        t = el.fmat[0][0] + el.fmat[0][3]
+        t = el.float_trace()
         at = abs(t)
         xi = (at + math.sqrt(at * at - 4.0)) / 2.0
         return ClassEntry(
@@ -337,7 +337,7 @@ def enumerate_classes_by_trace(params: GroupParams, max_trace: int, max_workers=
             sylls.append(Syllable("U", e))
         word = GroupWord(1, tuple(sylls))
         el = Element(params, word, _normalized=True)
-        t = el.fmat[0][0] + el.fmat[0][3]
+        t = el.float_trace()
         at = abs(t)
         xi = (at + math.sqrt(at * at - 4.0)) / 2.0
         return ClassEntry(word=word, trace=t, psi=psi(el), Psi=rademacher_Psi(el), length=2.0 * math.log(xi))

@@ -2,8 +2,9 @@
 
 Elements carry their normal-form word as the authoritative representation; the
 exact matrix (entries in Q(alpha, beta)) and a float shadow with a per-entry
-error bound are computed lazily.  An Asai sign (the sign of c, or of a when
-c = 0) is decided by the first of three tiers that can:
+error bound are computed lazily; the float shadow equals the exact matrix up
+to a positive power of two (see `_fmul`).  An Asai sign (the sign of c, or of
+a when c = 0) is decided by the first of three tiers that can:
 
 (a) the float shadow, when the entry clears its error bound by a wide margin;
 (b) the word: c = 0 exactly for the cusp words (U S)^k and (S^(p-1) U^(q-1))^k,
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from trirad import exactnum, words
-from trirad.errors import DomainError, InternalInconsistencyError, NotInGroupError
+from trirad.errors import DomainError, InternalInconsistencyError, NotInGroupError, NumericError
 from trirad.exactnum import AlgebraicNumber, chebyshev_C_2x, sign
 from trirad.words import GroupWord, Syllable, cyclic_reduce, minimal_period, multiply, normal_form
 
@@ -70,9 +71,10 @@ class Matrix2:
         return tuple(float(x) for x in self.entries())
 
 
-# float shadow: ((a, b, c, d), (ea, eb, ec, ed)) with |exact entry - float entry| <= its e
+# float shadow: ((a, b, c, d), (ea, eb, ec, ed), k) with |2^-k * exact entry - entry| <= its e
 
 _GAMMA2 = 2 * 2.0**-53 / (1 - 2 * 2.0**-53)
+_RESCALE_AT = 2.0**500
 
 
 def _fmul(A, B):
@@ -84,11 +86,17 @@ def _fmul(A, B):
     first two terms carry the input errors, the last bounds the rounding of each
     two-term dot product.  The bound is itself evaluated in floats and may come
     out low by a few units in the last place; `_decided_sign` asks for a factor
-    _MARGIN = 64 above it, which absorbs that.  An entry that overflows makes its
-    bound inf or nan, and such a sign is never decided from the shadow.
+    _MARGIN = 64 above it, which absorbs that.
+
+    When the product of the inputs' entry sums passes _RESCALE_AT, entries and
+    bounds are scaled by the 2^-j that brings the largest |entry| into [0.5, 1),
+    and j is added to k.  So every shadow has entry sum at most 2^500 and no
+    product overflows.  Power-of-two scaling is exact, so the bound holds and
+    no sign changes, except that ldexp rounds a value below 2^-1022 by at most
+    2^-1075; the 2^-1074 added to each scaled bound covers that.
     """
-    (a1, b1, c1, d1), (ea1, eb1, ec1, ed1) = A
-    (a2, b2, c2, d2), (ea2, eb2, ec2, ed2) = B
+    (a1, b1, c1, d1), (ea1, eb1, ec1, ed1), k1 = A
+    (a2, b2, c2, d2), (ea2, eb2, ec2, ed2), k2 = B
     xa, xb, xc, xd = abs(a1), abs(b1), abs(c1), abs(d1)
     ya, yb, yc, yd = abs(a2), abs(b2), abs(c2), abs(d2)
     g = _GAMMA2
@@ -105,7 +113,12 @@ def _fmul(A, B):
         ec1 * ya + ed1 * yc + (xc + ec1) * ea2 + (xd + ed1) * ec2 + g * (xc * ya + xd * yc),
         ec1 * yb + ed1 * yd + (xc + ec1) * eb2 + (xd + ed1) * ed2 + g * (xc * yb + xd * yd),
     )
-    return out, err
+    if (xa + xb + xc + xd) * (ya + yb + yc + yd) > _RESCALE_AT:
+        j = math.frexp(max(map(abs, out)))[1]
+        out = tuple(math.ldexp(x, -j) for x in out)
+        err = tuple(math.ldexp(e, -j) + 2.0**-1074 for e in err)
+        return out, err, k1 + k2 + j
+    return out, err, k1 + k2
 
 
 _MARGIN = 64.0
@@ -120,7 +133,7 @@ def _decided_sign(x, err):
 
 def _shadow(m: Matrix2):
     t = m.float_entries()
-    return t, (4e-15 * max(abs(x) for x in t),) * 4
+    return t, (4e-15 * max(abs(x) for x in t),) * 4, 0
 
 
 class GroupParams:
@@ -152,7 +165,7 @@ class GroupParams:
         self.identity_matrix = Matrix2(f.one, f.zero, f.zero, f.one)
         self._spow_f = [None] + [_shadow(m) for m in self._spow[1:]]
         self._upow_f = [None] + [_shadow(m) for m in self._upow[1:]]
-        self.identity_f = ((1.0, 0.0, 0.0, 1.0), (0.0,) * 4)
+        self.identity_f = central_fmat(1)
 
     def __repr__(self):
         return f"GroupParams(p={self.p}, q={self.q})"
@@ -186,8 +199,13 @@ def word_to_matrix(w: GroupWord, params: GroupParams) -> Matrix2:
     return m
 
 
+def central_fmat(sign):
+    """Float shadow of sign * I."""
+    return (float(sign), 0.0, 0.0, float(sign)), (0.0,) * 4, 0
+
+
 def word_to_fmat(w: GroupWord, params: GroupParams):
-    fm = ((float(w.sign), 0.0, 0.0, float(w.sign)), (0.0,) * 4)
+    fm = central_fmat(w.sign)
     for gen, e in w.syllables:
         fm = _fmul(fm, params.syllable_fmat(gen, e))
     return fm
@@ -276,10 +294,18 @@ class Element:
             self._fmat = word_to_fmat(self.word, self.params)
         return self._fmat
 
+    def float_trace(self) -> float:
+        """The trace as a float, the shadow's scale undone."""
+        t4, _, k = self.fmat
+        try:
+            return math.ldexp(t4[0] + t4[3], k)
+        except OverflowError:
+            raise NumericError("trace beyond the float range") from None
+
     # -- certified predicates ------------------------------------------------
 
     def trace_sign(self) -> int:
-        t4, err = self.fmat
+        t4, err, _ = self.fmat
         s = _decided_sign(t4[0] + t4[3], err[0] + err[3])
         if s is not None:
             return s
@@ -291,7 +317,7 @@ class Element:
         return sign(self.matrix.trace).value
 
     def asai(self) -> int:
-        t4, err = self.fmat
+        t4, err, _ = self.fmat
         s = _decided_sign(t4[2], err[2])
         if s is None:
             s = _asai_past_floats(self.word.syllables, self.word.sign, self.params, lambda: self.matrix)

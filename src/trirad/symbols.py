@@ -27,7 +27,7 @@ from trirad.errors import DomainError, InternalInconsistencyError
 # not called here: bench/tracing.py wraps every module binding of `sign`, and
 # its self-test reads `symbols.sign`
 from trirad.exactnum import sign  # noqa: F401
-from trirad.group import Element, _decided_sign, _fmul, asai_sign, asai_signs, is_cusp_word, w_from_signs
+from trirad.group import Element, _decided_sign, _fmul, asai_sign, asai_signs, central_fmat, is_cusp_word, w_from_signs
 
 
 def _c_sign(el: Element) -> int:
@@ -47,11 +47,15 @@ def _seed(gen, e, p, q) -> int:
 
 def _prefix_signs(el: Element) -> list:
     """Asai signs of the prefixes sign * s1...si: all from the float shadow when
-    its margin decides every one, else all from exact `asai_sign`."""
+    its margin decides every one, else all from exact `asai_sign`.  The last
+    prefix is the whole word, so its shadow becomes `el.fmat` when that is unset."""
     params, w = el.params, el.word
-    f0 = ((float(w.sign), 0.0, 0.0, float(w.sign)), (0.0,) * 4)
-    fms = accumulate((params.syllable_fmat(*syl) for syl in w.syllables), _fmul, initial=f0)
-    signs = [_decided_sign(t4[2], err[2]) for t4, err in islice(fms, 1, None)]
+    fm, signs = central_fmat(w.sign), []
+    for syl in w.syllables:
+        fm = _fmul(fm, params.syllable_fmat(*syl))
+        signs.append(_decided_sign(fm[0][2], fm[1][2]))
+    if el._fmat is None:
+        el._fmat = fm
     if None not in signs:
         return signs
     m0 = params.identity_matrix if w.sign > 0 else -params.identity_matrix

@@ -1,5 +1,6 @@
 """Matrices, classification, lifts and matrix recognition."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,12 +10,13 @@ from hypothesis import strategies as st
 
 from conftest import PQ_LIST, random_element
 from trirad import group
-from trirad.errors import DomainError, NotInGroupError
+from trirad.errors import DomainError, NotInGroupError, NumericError
 from trirad.exactnum import get_field, sign
 from trirad.group import (
     Element,
     LiftedElement,
     Matrix2,
+    _GAMMA2,
     _decided_sign,
     _fmul,
     asai_sign,
@@ -198,10 +200,17 @@ def test_cusp_tier_matches_exact_arithmetic(p, q, rng, monkeypatch):
                 assert list(asai_signs(params, w)) == expected, w
 
 
+# about the length from which a random word's float shadow, unscaled, would pass
+# 1e308 (within 4 % on 20 random words per pair)
+_FIRST_OVERFLOW = {(2, 3): 3626, (2, 5): 1726, (2, 7): 1258, (3, 4): 1387, (3, 5): 1161, (4, 5): 958, (5, 7): 730}
+
+
 def _long_words(params, rng):
-    """Random words of 60-600 syllables, and (U S)^k or (S^(p-1) U^(q-1))^k runs plus one syllable."""
+    """Random words of 60-600 syllables and of 170 more than _FIRST_OVERFLOW, and
+    (U S)^k or (S^(p-1) U^(q-1))^k runs plus one syllable."""
     p, q = params.p, params.q
-    out = [random_element(params, rng, n, min_syllables=n).word for n in (60, 200, 600)]
+    lengths = (60, 200, 600, _FIRST_OVERFLOW[p, q] + 170)
+    out = [random_element(params, rng, n, min_syllables=n).word for n in lengths]
     for cusp in ((Syllable("U", 1), Syllable("S", 1)), (Syllable("S", p - 1), Syllable("U", q - 1))):
         gen = cusp[0].gen
         out += [GroupWord(1, cusp * 150 + (Syllable(gen, e),)) for e in range(1, p if gen == "S" else q)]
@@ -210,7 +219,8 @@ def _long_words(params, rng):
 
 @pytest.mark.parametrize("p,q", PQ_LIST)
 def test_float_decided_signs_match_exact(p, q, rng):
-    # the per-entry error bound of the float shadow, on long and adversarial words
+    # the per-entry error bound of the float shadow, on long and adversarial
+    # words, and past the float range, where the shadow is rescaled
     from trirad.analytic import enumerate_classes_by_trace
 
     params = get_params(p, q)
@@ -219,7 +229,7 @@ def test_float_decided_signs_match_exact(p, q, rng):
         ws += [e.word for e in enumerate_classes_by_trace(params, 40, max_workers=1).entries]
     for w in ws:
         for from_right in (False, True):
-            for sylls, exact, (t4, err) in _partial_products(params, w, from_right):
+            for sylls, exact, (t4, err, k) in _partial_products(params, w, from_right):
                 s = _decided_sign(t4[2], err[2])
                 if s is None:
                     # at these lengths the shadow never leaves a nonzero c open
@@ -228,6 +238,62 @@ def test_float_decided_signs_match_exact(p, q, rng):
                     assert s == sign(exact.c).value, sylls
                 s = _decided_sign(t4[0] + t4[3], err[0] + err[3])
                 assert s is None or s == sign(exact.trace).value, sylls
+            if len(w.syllables) > _FIRST_OVERFLOW[p, q]:
+                # the exact entries are past the float range
+                assert k + math.frexp(max(map(abs, t4)))[1] > 1024, w
+
+
+def _scaled(shadow, n):
+    """The shadow times 2^n, entries and bounds."""
+    vals, errs, k = shadow
+    return tuple(math.ldexp(x, n) for x in vals), tuple(math.ldexp(e, n) for e in errs), k
+
+
+def test_fmul_rescale_is_an_exact_power_of_two(rng):
+    # shadows with entries near 2^300: the product passes _RESCALE_AT, and comes
+    # out as exactly 2^-k times the product of the same shadows scaled by 2^-300
+    for _ in range(20):
+        A = (tuple(math.ldexp(rng.uniform(-1, 1), 300) for _ in range(4)), (2.0**250,) * 4, 0)
+        B = (tuple(math.ldexp(rng.uniform(-1, 1), 300) for _ in range(4)), (2.0**248,) * 4, 3)
+        out, err, k = _fmul(A, B)
+        small_out, small_err, small_k = _fmul(_scaled(A, -300), _scaled(B, -300))
+        assert small_k == 3 and k > 3 and 0.5 <= max(map(abs, out)) < 1
+        scale = Fraction(2) ** (600 + 3 - k)
+        assert [Fraction(x) for x in out] == [Fraction(x) * scale for x in small_out]
+        assert [Fraction(e) for e in err] == [Fraction(e) * scale for e in small_err]
+    # below the threshold the product is the plain float product
+    A = ((2.0**200, 1.0, 3.0, 2.0**-200), (0.0,) * 4, 0)
+    out, _, k = _fmul(A, A)
+    assert k == 0 and out == (2.0**400 + 3.0, 2.0**200 + 2.0**-200, 3 * 2.0**200 + 3 * 2.0**-200, 3.0 + 2.0**-400)
+
+
+def test_fmul_pad_covers_an_entry_scaled_into_the_subnormals():
+    # d = (1 + 2^-52) 2^-460 is exact; scaled by 2^-602 it needs bits below
+    # 2^-1074 and is rounded, and its bound (gamma_2 d 2^-602) underflows to 0
+    d1, d2 = 1 + 2.0**-52, 2.0**-460
+    A = ((2.0**300, 0.0, 0.0, d1), (0.0,) * 4, 0)
+    B = ((2.0**301, 0.0, 0.0, d2), (0.0,) * 4, 0)
+    out, err, k = _fmul(A, B)
+    assert k == 602 and out[0] == 0.5
+    exact_d = Fraction(d1) * Fraction(d2) / Fraction(2) ** k
+    assert Fraction(out[3]) != exact_d and math.ldexp(_GAMMA2 * d1 * d2, -k) == 0.0
+    for x, e, want in zip(out, err, (Fraction(2) ** 601 / Fraction(2) ** k, 0, 0, exact_d)):
+        assert abs(Fraction(x) - want) <= Fraction(e)
+
+
+def test_float_trace_undoes_the_rescale(P23, rng):
+    # (2,3) shadows are rescaled from about 1,800 syllables; the trace passes the
+    # float range near 3,600
+    short = random_element(P23, rng, 40, min_syllables=40)
+    t4, _, k = short.fmat
+    assert k == 0 and short.float_trace() == t4[0] + t4[3]
+    x = random_element(P23, rng, 2500, min_syllables=2500)
+    assert x.fmat[2] > 0
+    exact = float(x.matrix.trace)
+    assert abs(x.float_trace() - exact) <= 1e-12 * abs(exact)
+    y = random_element(P23, rng, 4000, min_syllables=4000)
+    with pytest.raises(NumericError):
+        y.float_trace()
 
 
 def test_asai_examples(P23):

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import PQ_LIST, random_element
+from trirad import group, symbols
 from trirad.errors import DomainError
-from trirad.group import Element, cocycle_W_el, get_params
+from trirad.exactnum import sign
+from trirad.group import Element, asai_sign, cocycle_W_el, get_params, is_cusp_word
 from trirad.symbols import (
     dedekind_Phi,
     dedekind_sum,
@@ -63,6 +65,32 @@ def test_dual_pipelines_agree(p, q, rng):
     for _ in range(60):
         x = random_element(params, rng)
         assert psi(x) == psi_via_cocycle(x)
+
+
+def test_long_words_stay_on_the_float_tier(rng, monkeypatch):
+    # (5,7) words of 900 syllables pass the float range; the rescaled shadow
+    # still decides every sign of both pipelines, Element.asai and trace_sign
+    params = get_params(5, 7)
+    while True:
+        x = random_element(params, rng, 900, min_syllables=900)
+        sylls = x.word.syllables
+        if not any(is_cusp_word(sylls[:i], 5, 7) for i in range(2, 901, 2)):
+            break
+    ref = Element(params, x.word, _normalized=True)
+
+    def no_exact_sign(*args):
+        raise AssertionError("exact sign taken")
+
+    with monkeypatch.context() as mp:
+        for module in (group, symbols):
+            mp.setattr(module, "sign", no_exact_sign)
+            mp.setattr(module, "asai_sign", no_exact_sign)
+        got = (psi(x), psi_via_cocycle(x), x.asai(), x.trace_sign())
+    assert x._matrix is None and x.fmat[2] > 0
+    with monkeypatch.context() as mp:
+        mp.setattr(symbols, "_decided_sign", lambda x, err: None)  # every prefix sign exact
+        exact_psi = psi(ref)
+    assert got == (exact_psi, exact_psi, asai_sign(ref.matrix), sign(ref.matrix.trace).value)
 
 
 @pytest.mark.parametrize("p,q", [(2, 3), (3, 4), (5, 7)])
