@@ -10,17 +10,17 @@ a Gauss-Legendre sum in t of order 16, 32, ..., 1024: it returns the first
 order-2n sum within tol/20 of the order-n sum (the error estimate; the analytic
 integrand makes the order-2n error far smaller), and raises NumericError when
 even orders 512 and 1024 differ by more.
-Class enumeration and the arctan distribution statistics work for any (p,q).
+Syllable-bounded class enumeration and the arctan distribution statistics
+work for any (p,q); trace-bounded enumeration is (2,3)-only.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -28,16 +28,7 @@ from numpy.polynomial.polynomial import polyval
 from trirad.errors import DomainError, NumericError, PreconditionError
 from trirad.group import Element, GroupParams, is_primitive
 from trirad.symbols import psi, rademacher_Psi
-from trirad.words import GroupWord, Syllable, minimal_period, render_word
-
-
-def parallel_map(fn, items, max_workers: Optional[int] = None):
-    """Parallel map with deterministic (input-order) output."""
-    items = list(items)
-    if len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(fn, items))
+from trirad.words import GroupWord, Syllable, render_word
 
 
 # ---------------------------------------------------------------------------
@@ -248,52 +239,46 @@ class ClassTable:
         ]
 
 
-def _even_rotation_key(sylls):
-    k = len(sylls)
-    return min(tuple(sylls[i:] + sylls[:i]) for i in range(0, k, 2))
+def _lyndon_words(k: int, n: int):
+    """Lyndon words of length 1..n over the letters 0..k-1, in lexicographic order.
+
+    Duval's algorithm (Duval 1988; Ruskey, *Combinatorial Generation*, 7.2):
+    constant amortized time per word.
+    """
+    w = [-1]
+    while w:
+        w[-1] += 1
+        yield tuple(w)
+        m = len(w)
+        while len(w) < n:
+            w.append(w[-m])
+        while w and w[-1] == k - 1:
+            w.pop()
+
+
+def _class_entry(el: Element) -> ClassEntry:
+    t = el.float_trace()
+    at = abs(t)
+    xi = (at + math.sqrt(at * at - 4.0)) / 2.0
+    return ClassEntry(word=el.word, trace=t, psi=psi(el), Psi=rademacher_Psi(el), length=2.0 * math.log(xi))
 
 
 def enumerate_classes(params: GroupParams, max_syllables: int, max_workers=None) -> ClassTable:
-    """Primitive hyperbolic classes with cyclic words up to the syllable bound."""
+    """Primitive hyperbolic classes with cyclic words up to the syllable bound.
+
+    A class of S^a U^b pairs is a primitive necklace over the (p-1)(q-1)
+    letters (a, b), and its representative is the Lyndon word, the least
+    rotation.  The table lists them by length, then lexicographically.
+    max_workers is accepted and ignored; the rows are built in this thread.
+    """
     if max_syllables < 2:
         raise DomainError("max_syllables must be >= 2")
     p, q = params.p, params.q
-    seen = set()
-    reps: List[GroupWord] = []
-    for pairs in range(1, max_syllables // 2 + 1):
-        stack = [()]
-        for _ in range(pairs):
-            stack = [
-                s + (Syllable("S", a), Syllable("U", b))
-                for s in stack
-                for a in range(1, p)
-                for b in range(1, q)
-            ]
-        for sylls in stack:
-            key = _even_rotation_key(sylls)
-            if key in seen:
-                continue
-            seen.add(key)
-            if minimal_period(sylls) != len(sylls):
-                continue
-            reps.append(GroupWord(1, key))
-
-    def build(word):
-        el = Element(params, word, _normalized=True)
-        if el.classify() != "hyperbolic":
-            return None
-        t = el.float_trace()
-        at = abs(t)
-        xi = (at + math.sqrt(at * at - 4.0)) / 2.0
-        return ClassEntry(
-            word=word,
-            trace=t,
-            psi=psi(el),
-            Psi=rademacher_Psi(el),
-            length=2.0 * math.log(xi),
-        )
-
-    entries = [e for e in parallel_map(build, reps, max_workers=max_workers) if e is not None]
+    letters = [(Syllable("S", a), Syllable("U", b)) for a in range(1, p) for b in range(1, q)]
+    lyndon = sorted(_lyndon_words(len(letters), max_syllables // 2), key=len)
+    words = (GroupWord(1, tuple(s for i in w for s in letters[i])) for w in lyndon)
+    els = (Element(params, w, _normalized=True) for w in words)
+    entries = [_class_entry(el) for el in els if el.classify() == "hyperbolic"]
     return ClassTable(p=p, q=q, entries=tuple(entries))
 
 
@@ -303,47 +288,50 @@ def enumerate_classes_by_trace(params: GroupParams, max_trace: int, max_workers=
     This is the length-ordered population of the arctan distribution law
     (l <= y is the same as trace <= 2 cosh(y/2)).  Classes are enumerated via
     the continued-fraction coding: mod center, S U = -L^-1 and S U^2 = -R^-1
-    with L, R the lower/upper unipotent integer matrices, so trace-bounded
-    classes correspond to cyclic binary L/R words, which have nonnegative
-    entries and monotone trace growth (enabling exact pruning).
+    with L = (1 0; 1 1) and R = (1 1; 0 1), so a class is a cyclic word over
+    {1 = L, 2 = R}, and its representative is the Lyndon word, the least
+    rotation.  The table lists them in lexicographic order.
+
+    The Lyndon words are the nodes with period = length in the prenecklace
+    tree (Fredricksen-Kessler-Maiorana; Ruskey, *Combinatorial Generation*,
+    7.2; Cattell et al., J. Algorithms 2000), walked from (1,) in preorder,
+    smaller letter first, which is lexicographic order.  A node w of period
+    per has the children w + w[len(w) - per], of period per, and w + a for
+    every larger letter a, of period len(w) + 1.
+
+    Pruning: the walk descends below w only while tr(w R) = a + c + d <= X,
+    for w = (a b; c d).  L and R are nonnegative and >= I entrywise, so every
+    product u of them is too.  A Lyndon word of length >= 2 ends in R (a word
+    of length >= 2 ending in L has the smaller suffix L), so a proper Lyndon
+    extension of w is w u R, and tr(w u R) = tr(w R) + tr(w (u - I) R) >=
+    tr(w R).  The bound also stops the L^k branch, whose trace stays 2, so no
+    length cap is needed.
+
+    max_workers is accepted and ignored; the rows are built in this thread.
     """
     if (params.p, params.q) != (2, 3):
         raise DomainError("trace-bounded enumeration is implemented for (p,q) = (2,3) only")
     if max_trace < 3:
         raise DomainError("max_trace must be >= 3")
     X = max_trace
-    seen = set()
-    reps: List[Tuple[int, ...]] = []
-    # iterative DFS over L/R sequences; state: (sequence, matrix, has_L, has_R)
-    stack = [((), (1, 0, 0, 1), False, False)]
+    reps = []
+    # node: (word, period, matrix of the word); children are pushed larger letter first
+    stack = [((1,), 1, (1, 0, 1, 1))]
     while stack:
-        seq, (a, b, c, d), has_l, has_r = stack.pop()
-        if has_l and has_r and 2 < a + d <= X:
-            k = len(seq)
-            key = min(seq[i:] + seq[:i] for i in range(k))
-            if key not in seen:
-                seen.add(key)
-                if minimal_period(key) == k:
-                    reps.append(key)
-        if a + d > X or len(seq) > 4 * X:
+        seq, per, (a, b, c, d) = stack.pop()
+        n = len(seq)
+        if per == n and 2 < a + d <= X:
+            reps.append(seq)
+        if a + c + d > X:
             continue
-        stack.append((seq + (1,), (a + b, b, c + d, d), True, has_r))
-        stack.append((seq + (2,), (a, a + b, c, c + d), has_l, True))
-
-    def build(seq):
-        sylls = []
-        for e in seq:
-            sylls.append(Syllable("S", 1))
-            sylls.append(Syllable("U", e))
-        word = GroupWord(1, tuple(sylls))
-        el = Element(params, word, _normalized=True)
-        t = el.float_trace()
-        at = abs(t)
-        xi = (at + math.sqrt(at * at - 4.0)) / 2.0
-        return ClassEntry(word=word, trace=t, psi=psi(el), Psi=rademacher_Psi(el), length=2.0 * math.log(xi))
-
-    reps.sort()
-    entries = parallel_map(build, reps, max_workers=max_workers)
+        if seq[n - per] == 1:
+            stack.append((seq + (2,), n + 1, (a, a + b, c, c + d)))
+            stack.append((seq + (1,), per, (a + b, b, c + d, d)))
+        else:
+            stack.append((seq + (2,), per, (a, a + b, c, c + d)))
+    letters = {e: (Syllable("S", 1), Syllable("U", e)) for e in (1, 2)}
+    words = (GroupWord(1, tuple(s for e in seq for s in letters[e])) for seq in reps)
+    entries = [_class_entry(Element(params, w, _normalized=True)) for w in words]
     return ClassTable(p=2, q=3, entries=tuple(entries))
 
 

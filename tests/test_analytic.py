@@ -21,14 +21,15 @@ from trirad.analytic import (
     enumerate_classes_by_trace,
     geodesic_data,
     log_delta_23,
-    parallel_map,
     winding_number_23,
     winding_residual_23,
 )
 from trirad.errors import DomainError, NumericError, PreconditionError
 from trirad.group import Element, get_params
 from trirad.symbols import ghys_coding_23, psi, rademacher_Psi
-from trirad.words import parse_word, render_word
+from trirad.words import GroupWord, Syllable, minimal_period, parse_word, render_word
+
+from conftest import PQ_LIST
 
 
 def el(params, text):
@@ -247,6 +248,80 @@ def test_trace_ball_is_complete(P23):
             assert render_word(e.word) in ball, e
 
 
+def _lr_word(seq):
+    return GroupWord(1, tuple(s for e in seq for s in (Syllable("S", 1), Syllable("U", e))))
+
+
+def _reference_words_by_trace(X):
+    """Sorted least rotations of primitive L/R words with 2 < trace <= X, from a DFS over all words."""
+    seen = set()
+    reps = []
+    stack = [((), (1, 0, 0, 1), False, False)]
+    while stack:
+        seq, (a, b, c, d), has_l, has_r = stack.pop()
+        if has_l and has_r and 2 < a + d <= X:
+            k = len(seq)
+            key = min(seq[i:] + seq[:i] for i in range(k))
+            if key not in seen:
+                seen.add(key)
+                if minimal_period(key) == k:
+                    reps.append(key)
+        if a + d > X or len(seq) > 4 * X:
+            continue
+        stack.append((seq + (1,), (a + b, b, c + d, d), True, has_r))
+        stack.append((seq + (2,), (a, a + b, c, c + d), has_l, True))
+    return [_lr_word(seq) for seq in sorted(reps)]
+
+
+def _reference_words_by_syllables(params, max_syllables):
+    """Least even rotations of primitive S^a U^b words, by length, each first met in lexicographic order."""
+    p, q = params.p, params.q
+    seen = set()
+    reps = []
+    for pairs in range(1, max_syllables // 2 + 1):
+        stack = [()]
+        for _ in range(pairs):
+            stack = [s + (Syllable("S", a), Syllable("U", b)) for s in stack for a in range(1, p) for b in range(1, q)]
+        for sylls in stack:
+            key = min(sylls[i:] + sylls[:i] for i in range(0, len(sylls), 2))
+            if key in seen:
+                continue
+            seen.add(key)
+            if minimal_period(sylls) == len(sylls):
+                reps.append(GroupWord(1, key))
+    return [w for w in reps if Element(params, w, _normalized=True).classify() == "hyperbolic"]
+
+
+@pytest.mark.parametrize("X", [3, 5, 12, 40, 100])
+def test_enumerate_by_trace_matches_the_rotation_key_search(P23, X):
+    assert [e.word for e in enumerate_classes_by_trace(P23, X).entries] == _reference_words_by_trace(X)
+
+
+SYLLABLE_BOUNDS = {(2, 3): 20, (2, 5): 8, (2, 7): 8, (3, 4): 8, (3, 5): 8, (4, 5): 6, (5, 7): 6}
+
+
+@pytest.mark.parametrize("p,q", PQ_LIST)
+def test_enumerate_classes_matches_the_rotation_key_search(p, q):
+    params = get_params(p, q)
+    n = SYLLABLE_BOUNDS[(p, q)]
+    assert [e.word for e in enumerate_classes(params, n).entries] == _reference_words_by_syllables(params, n)
+
+
+@pytest.mark.parametrize("X", [5, 8, 12, 16])
+def test_trace_ball_is_exactly_the_syllable_ball_cut_by_trace(P23, X):
+    # an L/R word of length n with both letters has trace >= n + 1, so n <= X - 1 pairs
+    ball = {e.word for e in enumerate_classes_by_trace(P23, X).entries}
+    cut = {e.word for e in enumerate_classes(P23, 2 * (X - 1)).entries if abs(e.trace) <= X}
+    assert ball == cut
+
+
+def test_enumerate_by_trace_300(P23):
+    words = [e.word.syllables for e in enumerate_classes_by_trace(P23, 300).entries]
+    assert len(words) == 8704
+    assert all(u < v for u, v in zip(words, words[1:]))
+    assert all(minimal_period(w) == len(w) for w in words)
+
+
 def test_distribution_stats(P23):
     table = enumerate_classes(P23, 10)
     st = distribution_stats(table, -math.inf, math.inf)
@@ -257,10 +332,3 @@ def test_distribution_stats(P23):
     assert 0.0 <= st.ks_distance <= 1.0
     with pytest.raises(DomainError):
         distribution_stats(ClassTable(2, 3, ()), 0, 1)
-
-
-def test_parallel_map_is_deterministic():
-    items = list(range(200))
-    assert parallel_map(lambda x: x * x, items) == [x * x for x in items]
-    assert parallel_map(lambda x: -x, [7]) == [-7]
-    assert parallel_map(lambda x: x, []) == []

@@ -226,7 +226,7 @@ def test_float_decided_signs_match_exact(p, q, rng):
     params = get_params(p, q)
     ws = _long_words(params, rng)
     if (p, q) == (2, 3):
-        ws += [e.word for e in enumerate_classes_by_trace(params, 40, max_workers=1).entries]
+        ws += [e.word for e in enumerate_classes_by_trace(params, 40).entries]
     for w in ws:
         for from_right in (False, True):
             for sylls, exact, (t4, err, k) in _partial_products(params, w, from_right):
