@@ -31,8 +31,9 @@ from trirad.group import (
     get_params,
     is_cusp_word,
     matrix_to_word,
+    w_from_signs,
 )
-from trirad.words import parse_word, render_word
+from trirad.words import GroupWord, Syllable, parse_word, render_word
 
 DEFAULT_SEED = 20240723
 
@@ -118,22 +119,19 @@ def cmd_link(args):
 def cmd_lift(args):
     params = _parse_pq(args.pq)
     el = _element(params, args)
+    w = el.word
+    # a prefix of a normal form is a normal form, so the partials are prefixes
     steps = []
-    cur = Element.identity(params)
-    level = 0
-    sign = el.word.sign
-    if sign < 0:
-        cur = -cur
-        steps.append({"factor": "-I", "level": 0, "partial": render_word(cur.word)})
-    for gen, e in el.word.syllables:
-        step_el = Element.generator(params, gen, e)
-        nxt = cur * step_el
-        w = cocycle_W_el(cur, step_el, nxt)
-        level += w
-        cur = nxt
-        steps.append(
-            {"factor": f"{gen}^{e}", "W": w, "level": level, "partial": render_word(cur.word)}
-        )
+    if w.sign < 0:
+        steps.append({"factor": "-I", "level": 0, "partial": render_word(GroupWord(-1, ()))})
+    level, prev = 0, w.sign
+    for i, ((gen, e), s) in enumerate(zip(w.syllables, el.prefix_signs()), 1):
+        # W(prefix, syllable power): the power's Asai sign is +1, as in symbols.psi
+        step = w_from_signs(prev, 1, s)
+        level += step
+        prev = s
+        partial = render_word(GroupWord(w.sign, w.syllables[:i]))
+        steps.append({"factor": f"{gen}^{e}", "W": step, "level": level, "partial": partial})
     payload = {
         "pq": [params.p, params.q],
         "word": render_word(el.word),
@@ -247,8 +245,6 @@ def cmd_numeric_check(args):
 
 
 def _random_element(params, rng, max_syllables=6):
-    from trirad.words import GroupWord, Syllable
-
     gen = rng.choice("SU")
     sylls = []
     for _ in range(rng.randint(1, max_syllables)):

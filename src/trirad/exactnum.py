@@ -177,52 +177,22 @@ class Field:
     def element(self, terms) -> "AlgebraicNumber":
         """Reduce a raw polynomial {(i, j): coeff} in alpha, beta to canonical form.
 
-        Arbitrary exponents are allowed; they are rewritten on the basis via
-        repeated multiplication by the reduced alpha/beta powers.
+        Arbitrary exponents are allowed; they are rewritten on the basis with
+        the rows of `_power_rows`.
         """
+        terms = [(i, j, coeff) for (i, j), coeff in dict(terms).items() if coeff != 0]
+        if any(i < 0 or j < 0 for i, j, _ in terms):
+            raise DomainError("negative exponents are not in the polynomial ring")
+        rows_a = _power_rows(self.minpoly_p, 1 + max((i for i, _, _ in terms), default=0))
+        rows_b = _power_rows(self.minpoly_q, 1 + max((j for _, j, _ in terms), default=0))
         out = [[0] * self.dq for _ in range(self.dp)]
-        for (i, j), coeff in dict(terms).items():
-            if coeff == 0:
-                continue
-            if i < 0 or j < 0:
-                raise DomainError("negative exponents are not in the polynomial ring")
-            arow = self._alpha_power_vec(i)
-            brow = self._beta_power_vec(j)
-            for ii, av in enumerate(arow):
+        for i, j, coeff in terms:
+            for ii, av in enumerate(rows_a[i]):
                 if av:
-                    for jj, bv in enumerate(brow):
+                    for jj, bv in enumerate(rows_b[j]):
                         if bv:
                             out[ii][jj] += coeff * av * bv
         return AlgebraicNumber(self, tuple(tuple(row) for row in out))
-
-    @lru_cache(maxsize=None)
-    def _alpha_power_vec(self, k):
-        if k < 2 * self.dp - 1:
-            return tuple(self._rows_a[k])
-        prev = self._alpha_power_vec(k - 1)
-        # multiply by alpha: shift then reduce the overflow term
-        vec = [0] * self.dp
-        for i in range(self.dp - 1):
-            vec[i + 1] += prev[i]
-        top = prev[self.dp - 1]
-        if top:
-            for i in range(self.dp):
-                vec[i] -= top * self.minpoly_p.coeffs[i]
-        return tuple(vec)
-
-    @lru_cache(maxsize=None)
-    def _beta_power_vec(self, k):
-        if k < 2 * self.dq - 1:
-            return tuple(self._rows_b[k])
-        prev = self._beta_power_vec(k - 1)
-        vec = [0] * self.dq
-        for j in range(self.dq - 1):
-            vec[j + 1] += prev[j]
-        top = prev[self.dq - 1]
-        if top:
-            for j in range(self.dq):
-                vec[j] -= top * self.minpoly_q.coeffs[j]
-        return tuple(vec)
 
     @lru_cache(maxsize=None)
     def _iv_generators(self, prec):

@@ -16,6 +16,15 @@ a when c = 0) is decided by the first of three tiers that can:
 word.  `Element.classify` needs no arithmetic at all: it reads the cyclically
 reduced word, and `primitive_root` orients and checks its root on words too.
 
+`word_to_fmat` is the one left fold of a shadow: it returns the shadow and the
+tier (a) Asai sign of every prefix, and `Element.fmat` caches both for
+`float_trace`, `asai`, `trace_sign` and `Element.prefix_signs`, so an element's
+shadow is folded once.  `prefix_signs` (read by `symbols.psi` and `trirad
+lift`) keeps two tiers for the whole word: the shadow's signs when they decide
+every prefix, else exact signs for every prefix.  That keeps `psi` apart from
+the suffix fold's tiers (b) and (c), so comparing the two psi pipelines checks
+those tiers against plain exact arithmetic.
+
 `matrix_to_word` recognizes an exact matrix by the ping-pong lemma for the
 amalgam <S> *_{+-I} <U>: the sign of Re m(i) names the generator of the first
 syllable, the one exponent whose inverse sends m(i) off that side names the
@@ -205,22 +214,29 @@ def central_fmat(sign):
 
 
 def word_to_fmat(w: GroupWord, params: GroupParams):
-    fm = central_fmat(w.sign)
+    """(shadow of w, signs): the left fold of the float shadow over w.
+
+    signs[i] is the Asai sign of the prefix sign * s1...s(i+1) when the
+    prefix's shadow decides it (tier (a)), else None.
+    """
+    fm, signs = central_fmat(w.sign), []
     for gen, e in w.syllables:
         fm = _fmul(fm, params.syllable_fmat(gen, e))
-    return fm
+        signs.append(_decided_sign(fm[0][2], fm[1][2]))
+    return fm, signs
 
 
 class Element:
     """A group element: normal-form word plus lazy matrix caches."""
 
-    __slots__ = ("params", "word", "_matrix", "_fmat", "_sym")
+    __slots__ = ("params", "word", "_matrix", "_fmat", "_prefix", "_sym")
 
     def __init__(self, params: GroupParams, word: GroupWord, _normalized=False):
         self.params = params
         self.word = word if _normalized else normal_form(word, params.p, params.q)
         self._matrix = None
         self._fmat = None
+        self._prefix = None  # prefix Asai signs, filled with the shadow
         self._sym = {}
 
     # -- constructors -------------------------------------------------------
@@ -291,8 +307,32 @@ class Element:
     @property
     def fmat(self):
         if self._fmat is None:
-            self._fmat = word_to_fmat(self.word, self.params)
+            self._fmat, self._prefix = word_to_fmat(self.word, self.params)
         return self._fmat
+
+    def prefix_signs(self) -> list:
+        """Asai signs of the prefixes sign * s1...si, shortest first; cached.
+
+        Two tiers for the whole word, not per prefix: the shadow's signs when
+        its margin decides every one, else exact `asai_sign` on every prefix
+        product, built left to right.  The last of those is the whole word, so
+        it becomes the exact matrix when that is unset.  The whole-word exact
+        re-run is kept on purpose: `psi` then shares no tier beyond (a) with
+        `asai_signs`, and bench/test_bench_helpers.py pins it (psi of the
+        (2,3) word U S U, whose prefix U S has c = 0, takes four exact signs).
+        """
+        self.fmat  # folds the shadow and its prefix signs once
+        if None in self._prefix:
+            params, w = self.params, self.word
+            m = params.identity_matrix if w.sign > 0 else -params.identity_matrix
+            signs = []
+            for syl in w.syllables:
+                m = m * params.syllable_matrix(*syl)
+                signs.append(asai_sign(m))
+            if self._matrix is None:
+                self._matrix = m
+            self._prefix = signs
+        return self._prefix
 
     def float_trace(self) -> float:
         """The trace as a float, the shadow's scale undone."""

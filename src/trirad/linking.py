@@ -16,7 +16,15 @@ from trirad.errors import DomainError, PreconditionError
 from trirad.group import Element, is_primitive, primitive_root
 from trirad.symbols import homogeneous_Psi_h, modified_Psi_e, psi, rademacher_Psi
 
-VARIANTS = ("psi", "Psi", "Psi_h", "Psi_e")
+# variant -> symbol; each lambda looks its function up when called, so a
+# wrapper installed on this module's binding also sees these calls
+_SYMBOLS = {
+    "psi": lambda el: psi(el),
+    "Psi": lambda el: rademacher_Psi(el),
+    "Psi_h": lambda el: homogeneous_Psi_h(el),
+    "Psi_e": lambda el: modified_Psi_e(el),
+}
+VARIANTS = tuple(_SYMBOLS)
 
 
 def generic_fiber_lk(params) -> Fraction:
@@ -39,6 +47,13 @@ def m_gamma(el: Element) -> int:
     return r // math.gcd(r, psi(el))
 
 
+def _symbol(variant: str):
+    try:
+        return _SYMBOLS[variant]
+    except KeyError:
+        raise DomainError(f"unknown variant {variant!r}; expected one of {VARIANTS}") from None
+
+
 def _symbol_value(el: Element, variant: str) -> int:
     cls = el.classify()
     if variant == "psi":
@@ -50,14 +65,9 @@ def _symbol_value(el: Element, variant: str) -> int:
             raise PreconditionError("variant psi requires c > 0")
         if not is_primitive(el):
             raise PreconditionError("variant psi requires a primitive element")
-        return psi(el)
-    if variant in ("Psi", "Psi_h"):
-        if cls != "hyperbolic":
-            raise PreconditionError(f"variant {variant} requires a hyperbolic element; got {cls}")
-        return rademacher_Psi(el) if variant == "Psi" else homogeneous_Psi_h(el)
-    if variant == "Psi_e":
-        return modified_Psi_e(el)
-    raise DomainError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    elif variant in ("Psi", "Psi_h") and cls != "hyperbolic":
+        raise PreconditionError(f"variant {variant} requires a hyperbolic element; got {cls}")
+    return _symbol(variant)(el)
 
 
 def lk_lens(el: Element, variant: str = "Psi_e") -> Fraction:
@@ -76,19 +86,7 @@ def _root_symbol(el: Element, variant: str) -> int:
     if cls == "central":
         raise PreconditionError("central elements have no primitive root; S^3 linking undefined")
     root, _ = primitive_root(el)
-    return _symbol_value_unchecked(root, variant)
-
-
-def _symbol_value_unchecked(el: Element, variant: str) -> int:
-    if variant == "psi":
-        return psi(el)
-    if variant == "Psi":
-        return rademacher_Psi(el)
-    if variant == "Psi_h":
-        return homogeneous_Psi_h(el)
-    if variant == "Psi_e":
-        return modified_Psi_e(el)
-    raise DomainError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    return _symbol(variant)(root)
 
 
 def lk_s3(el: Element, variant: str = "Psi_e"):

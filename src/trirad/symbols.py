@@ -11,23 +11,23 @@ Two independent pipelines compute psi:
 `psi_via_cocycle` takes the Asai sign of each suffix from `group.asai_signs`,
 in three tiers: (a) the float shadow's margin, (b) the cusp words, whose c is 0
 and whose sign is read off the word, (c) exact arithmetic for that step alone.
-`psi` uses tier (a) when it decides every prefix, else exact arithmetic for all
-of them.  The pipelines share no accumulator, cached result or tier beyond (a),
-so comparing them checks tiers (b) and (c) against plain exact arithmetic.
+`psi` takes the sign of each prefix from `Element.prefix_signs`, the left fold
+that `group` runs once per element for its shadow: tier (a) when it decides
+every prefix, else exact arithmetic for all of them.  The pipelines share no
+accumulator, cached result or tier beyond (a), so comparing them checks tiers
+(b) and (c) against plain exact arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
-from operator import mul
 
 from trirad.errors import DomainError, InternalInconsistencyError
 # not called here: bench/tracing.py wraps every module binding of `sign`, and
 # its self-test reads `symbols.sign`
 from trirad.exactnum import sign  # noqa: F401
-from trirad.group import Element, _decided_sign, _fmul, asai_sign, asai_signs, central_fmat, is_cusp_word, w_from_signs
+from trirad.group import Element, asai_signs, is_cusp_word, w_from_signs
 
 
 def _c_sign(el: Element) -> int:
@@ -45,31 +45,13 @@ def _seed(gen, e, p, q) -> int:
 # pipeline 1: character of the universal cover
 
 
-def _prefix_signs(el: Element) -> list:
-    """Asai signs of the prefixes sign * s1...si: all from the float shadow when
-    its margin decides every one, else all from exact `asai_sign`.  The last
-    prefix is the whole word, so its shadow becomes `el.fmat` when that is unset."""
-    params, w = el.params, el.word
-    fm, signs = central_fmat(w.sign), []
-    for syl in w.syllables:
-        fm = _fmul(fm, params.syllable_fmat(*syl))
-        signs.append(_decided_sign(fm[0][2], fm[1][2]))
-    if el._fmat is None:
-        el._fmat = fm
-    if None not in signs:
-        return signs
-    m0 = params.identity_matrix if w.sign > 0 else -params.identity_matrix
-    ms = accumulate((params.syllable_matrix(*syl) for syl in w.syllables), mul, initial=m0)
-    return [asai_sign(m) for m in islice(ms, 1, None)]
-
-
 def psi(el: Element) -> int:
     cached = el._sym.get("psi")
     if cached is None:
         p, q, w = el.params.p, el.params.q, el.word
         char = p * q if w.sign < 0 else 0
         level, prev = 0, w.sign
-        for (gen, e), s in zip(w.syllables, _prefix_signs(el)):
+        for (gen, e), s in zip(w.syllables, el.prefix_signs()):
             # syllable powers have c = C_e > 0, so their Asai sign is +1
             level += w_from_signs(prev, 1, s)
             char += _seed(gen, e, p, q)

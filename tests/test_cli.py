@@ -11,8 +11,9 @@ import pytest
 
 import trirad
 from trirad.cli import main
-from trirad.group import Element, get_params
-from trirad.words import parse_word
+from conftest import PQ_LIST, random_element
+from trirad.group import Element, cocycle_W_el, get_params
+from trirad.words import GroupWord, Syllable, parse_word, render_word
 
 
 def run_python(*args):
@@ -88,6 +89,46 @@ def test_lift_command(capsys):
     # the standard lift of -I sits at level 0
     code, d = run_json(capsys, "lift", "--pq", "2,3", "--word", "S * S")
     assert d["word"] == "-I" and d["level"] == 0 and d["psi"] == 6
+
+
+def _lift_by_products(el):
+    """level and steps of `trirad lift`, one Element product and W per syllable."""
+    params = el.params
+    steps = []
+    cur = Element.identity(params)
+    level = 0
+    if el.word.sign < 0:
+        cur = -cur
+        steps.append({"factor": "-I", "level": 0, "partial": render_word(cur.word)})
+    for gen, e in el.word.syllables:
+        step_el = Element.generator(params, gen, e)
+        nxt = cur * step_el
+        w = cocycle_W_el(cur, step_el, nxt)
+        level += w
+        cur = nxt
+        steps.append({"factor": f"{gen}^{e}", "W": w, "level": level, "partial": render_word(cur.word)})
+    return level, steps
+
+
+def test_lift_matches_the_per_step_cocycle(capsys, rng):
+    # every pair, both central signs, cusp prefixes, and words equal to -I
+    for p, q in PQ_LIST:
+        params = get_params(p, q)
+        texts = [f"S^{p}", f"U^{q} * S * U * S^{p - 1}"]
+        for i in range(12):
+            w = random_element(params, rng, 40, min_syllables=3).word
+            if i % 3 == 0:
+                # (U S)^2 or (S^(p-1) U^(q-1))^2 in front: prefixes with c = 0
+                if w.syllables[0].gen == "U":
+                    cusp = (Syllable("U", 1), Syllable("S", 1))
+                else:
+                    cusp = (Syllable("S", p - 1), Syllable("U", q - 1))
+                w = GroupWord(w.sign, cusp * 2 + w.syllables)
+            texts.append(render_word(w))
+        for text in texts:
+            code, d = run_json(capsys, "lift", "--pq", f"{p},{q}", "--word", text)
+            level, steps = _lift_by_products(Element(params, parse_word(text)))
+            assert code == 0 and (d["level"], d["steps"]) == (level, steps), text
 
 
 def test_normal_form_command(capsys):

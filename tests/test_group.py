@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -148,7 +149,7 @@ def _partial_products(params, word, from_right):
     sylls = word.syllables
     sign_ = 1 if from_right else word.sign
     exact = params.identity_matrix if sign_ > 0 else -params.identity_matrix
-    fm = word_to_fmat(GroupWord(sign_), params)
+    fm, _ = word_to_fmat(GroupWord(sign_), params)
     for m in range(1, len(sylls) + 1):
         g = sylls[-m] if from_right else sylls[m - 1]
         if from_right:
@@ -241,6 +242,87 @@ def test_float_decided_signs_match_exact(p, q, rng):
             if len(w.syllables) > _FIRST_OVERFLOW[p, q]:
                 # the exact entries are past the float range
                 assert k + math.frexp(max(map(abs, t4)))[1] > 1024, w
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Count the calls of owner.name made through any binding of it in owner or
+    in a loaded trirad module; returns the one-element counter."""
+    orig, count = getattr(owner, name), [0]
+
+    def counted(*args):
+        count[0] += 1
+        return orig(*args)
+
+    mods = [m for k, m in list(sys.modules.items()) if k.split(".")[0] == "trirad"]
+    for ns in mods + [owner]:
+        for key in [k for k, v in vars(ns).items() if v is orig]:
+            monkeypatch.setattr(ns, key, counted)
+    return count
+
+
+@pytest.mark.parametrize("psi_first", [True, False])
+def test_each_element_folds_its_shadow_once(psi_first, rng, monkeypatch):
+    # psi, float_trace, asai and trace_sign share one left fold of the shadow,
+    # in either call order, also when psi takes its signs from exact arithmetic
+    from trirad.symbols import psi
+
+    els = [random_element(get_params(p, q), rng, 40) for p, q in PQ_LIST]
+    els.append(el(get_params(2, 3), "U * S * U^2 * S * U"))  # cusp prefix U S
+    for x in els:
+        count = _count_calls(monkeypatch, group, "_fmul")
+        if psi_first:
+            psi(x)
+        x.float_trace(), x.asai(), x.trace_sign()
+        psi(x)
+        assert count[0] == len(x.word.syllables), x
+        monkeypatch.undo()
+
+
+def test_class_rows_fold_each_syllable_once(P23, monkeypatch):
+    from trirad.analytic import enumerate_classes_by_trace
+
+    count = _count_calls(monkeypatch, group, "_fmul")
+    table = enumerate_classes_by_trace(P23, 12)
+    assert count[0] == sum(len(e.word.syllables) for e in table.entries) == 368
+
+
+def test_psi_leaves_the_exact_matrix_behind(P23, monkeypatch):
+    # a cusp prefix sends psi to exact prefix products; the last is the matrix
+    from trirad.symbols import psi
+
+    x = el(P23, "U * S * U^2 * S * U")
+    psi(x)
+    count = _count_calls(monkeypatch, Matrix2, "__mul__")
+    m = x.matrix
+    assert count[0] == 0
+    monkeypatch.undo()
+    assert m == word_to_matrix(x.word, P23)
+
+
+def test_prefix_signs_are_the_exact_prefix_signs(rng):
+    for p, q in PQ_LIST:
+        params = get_params(p, q)
+        for _ in range(20):
+            w = random_element(params, rng, 12).word
+            x = Element(params, w, _normalized=True)
+            expected = [asai_sign(m) for _, m, _ in _partial_products(params, w, from_right=False)]
+            assert x.prefix_signs() == expected, x
+
+
+def test_only_group_touches_the_shadow_internals():
+    # the shadow fold and its helpers stay private to trirad.group
+    import ast
+    from pathlib import Path
+
+    src = Path(group.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "group.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "trirad.group":
+                assert not [a.name for a in node.names if a.name.startswith("_")], path.name
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("_fmat", "_prefix"), path.name
 
 
 def _scaled(shadow, n):
