@@ -88,8 +88,6 @@ def _emit(args, payload, csv_rows=None):
                 if isinstance(v, dict):
                     print(f"{indent}{k}:")
                     render(v, indent + "  ")
-                elif isinstance(v, list):
-                    print(f"{indent}{k}: {v}")
                 else:
                     print(f"{indent}{k}: {v}")
 

@@ -3,8 +3,10 @@
 Elements are stored on the monomial basis alpha^i beta^j where alpha = 2cos(pi/p)
 and beta = 2cos(pi/q).  Since gcd(p,q) = 1 the two real cyclotomic fields
 intersect in Q, so the basis is honest and canonical coefficient matrices decide
-equality.  Signs of nonzero values are certified by interval arithmetic at
-doubling precision; the zero value is recognized symbolically.
+equality.  Signs of nonzero values are certified by integer interval
+arithmetic at doubling precision N: the floors of alpha 2^N and beta 2^N, found
+by Newton's method on the minimal polynomials, bracket every monomial; the zero
+value is recognized symbolically.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-import mpmath
-
 from trirad.errors import DomainError, InternalInconsistencyError
 
 Rational = Union[int, Fraction]
@@ -24,15 +24,6 @@ Rational = Union[int, Fraction]
 
 # ---------------------------------------------------------------------------
 # integer polynomial helpers (coefficient lists, lowest degree first)
-
-
-def _poly_mul(f, g):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return out
 
 
 def _poly_divexact(f, g):
@@ -55,17 +46,12 @@ def _poly_divexact(f, g):
     return out
 
 
-def _divisors(m):
-    out = [d for d in range(1, m + 1) if m % d == 0]
-    return out
-
-
 @lru_cache(maxsize=None)
 def _cyclotomic(m):
     """Coefficients of the m-th cyclotomic polynomial."""
     poly = [-1] + [0] * (m - 1) + [1]  # y^m - 1
-    for d in _divisors(m):
-        if d < m:
+    for d in range(1, m):
+        if m % d == 0:
             poly = _poly_divexact(poly, _cyclotomic(d))
     return tuple(poly)
 
@@ -160,8 +146,7 @@ class Field:
         self._basis_f = [
             [self.alpha_f**i * self.beta_f**j for j in range(self.dq)] for i in range(self.dp)
         ]
-        zero_m = tuple(tuple(0 for _ in range(self.dq)) for _ in range(self.dp))
-        self.zero = AlgebraicNumber(self, zero_m)
+        self.zero = self.from_rational(0)
         self.one = self.from_rational(1)
         self.alpha = self.element({(1, 0): 1})
         self.beta = self.element({(0, 1): 1})
@@ -193,19 +178,6 @@ class Field:
                         if bv:
                             out[ii][jj] += coeff * av * bv
         return AlgebraicNumber(self, tuple(tuple(row) for row in out))
-
-    @lru_cache(maxsize=None)
-    def _iv_generators(self, prec):
-        iv = mpmath.iv
-        old = iv.prec
-        iv.prec = prec
-        try:
-            pi = iv.pi
-            alpha = 2 * iv.cos(pi / self.p)
-            beta = 2 * iv.cos(pi / self.q)
-        finally:
-            iv.prec = old
-        return alpha, beta
 
 
 @lru_cache(maxsize=None)
@@ -299,10 +271,8 @@ class AlgebraicNumber:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, int):
-            other = Fraction(other)
-        if isinstance(other, Fraction):
-            return self * (1 / other)
+        if isinstance(other, (int, Fraction)):
+            return self * Fraction(1, other)
         return NotImplemented
 
     def __pow__(self, n):
@@ -374,12 +344,58 @@ class SignCertificate:
 _MAX_PREC = 1 << 20
 
 
+def _scaled(coeffs, m, unit):
+    """unit^d * f(m / unit) for the integer polynomial f = coeffs of degree d."""
+    acc, scale = coeffs[-1], unit
+    for c in reversed(coeffs[:-1]):
+        acc, scale = acc * m + c * scale, scale * unit
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _power_brackets(mp: MinPoly, bits):
+    """((A^k, (A+1)^k) for k < degree) with A = floor(2cos(pi/n) * 2^bits).
+
+    Newton's method in integers on P(m) = 2^(d bits) mp(m / 2^bits) starts at
+    the float value, or at the bracket for half the bits, and stops within a
+    unit of the root, since every derivative of mp is positive from its
+    largest root 2cos(pi/n) on; then m steps by one until P(m) < 0 < P(m + 1).
+    Both loops are bounded.  The other roots lie at least 2cos(pi/n) -
+    2cos(3pi/n) = 4 sin(pi/n) sin(2pi/n) >= 32/n^2 lower (n >= 4), so a sign
+    change within 2^-40 of the float value isolates 2cos(pi/n) for n < 4*10^6.
+    A degree-1 mp (n = 2, 3) needs no root, because only its 0th power is used.
+    """
+    if mp.degree == 1:
+        return ((1, 1),)
+    unit, half = 1 << bits, bits // 2
+    num, den = (2 * math.cos(math.pi / mp.n)).as_integer_ratio()
+    start = (num << bits) // den
+    m = start if half < 64 else _power_brackets(mp, half)[1][0] << (bits - half)
+    deriv = [k * c for k, c in enumerate(mp.coeffs)][1:]
+    for _ in range(bits.bit_length() + 8):  # the correct bits double each step
+        step = _scaled(mp.coeffs, m, unit) // _scaled(deriv, m, unit)
+        if not step:
+            break
+        m -= step
+    for _ in range(64):
+        low, high = _scaled(mp.coeffs, m, unit), _scaled(mp.coeffs, m + 1, unit)
+        if low < 0 < high and abs(m - start) <= unit >> 40:
+            return tuple((m**k, (m + 1) ** k) for k in range(mp.degree))
+        m += 1 if high < 0 else -1
+    raise InternalInconsistencyError(f"no sign change of the minimal polynomial near 2cos(pi/{mp.n})")
+
+
 def sign(x: AlgebraicNumber) -> SignCertificate:
     """Certified sign: symbolic zero test, then interval refinement.
 
     Fast paths: rational values read the sign off the coefficient, and values
     whose float evaluation clears a conservative error bound are decided at
-    machine precision; only near-cancellations reach the mpmath intervals.
+    machine precision.  Only near-cancellations reach the integer intervals:
+    at N bits, with A, B the floors of alpha * 2^N, beta * 2^N and D the lcm of
+    the coefficient denominators, alpha, beta >= 0 put each monomial
+    alpha^i beta^j 2^(N(i+j)) in [A^i B^j, (A+1)^i (B+1)^j], so integers
+    lo <= D x 2^(N(dp+dq-2)) <= hi follow.  N doubles from 64 until lo > 0 or
+    hi < 0; the certificate records it.
     """
     if x.is_zero():
         return SignCertificate(0, 0)
@@ -400,35 +416,22 @@ def sign(x: AlgebraicNumber) -> SignCertificate:
             return SignCertificate(1 if val > 0 else -1, 53)
     except OverflowError:
         pass
-    prec = 64
-    iv = mpmath.iv
-    while prec <= _MAX_PREC:
-        old = iv.prec
-        iv.prec = prec
-        try:
-            alpha, beta = f._iv_generators(prec)
-            apows = [iv.mpf(1)]
-            for _ in range(f.dp - 1):
-                apows.append(apows[-1] * alpha)
-            bpows = [iv.mpf(1)]
-            for _ in range(f.dq - 1):
-                bpows.append(bpows[-1] * beta)
-            total = iv.mpf(0)
-            for i, row in enumerate(x.coeffs):
-                for j, a in enumerate(row):
-                    if a:
-                        if isinstance(a, Fraction):
-                            c = iv.mpf(a.numerator) / a.denominator
-                        else:
-                            c = iv.mpf(a)
-                        total += c * apows[i] * bpows[j]
-            if total.a > 0:
-                return SignCertificate(1, prec)
-            if total.b < 0:
-                return SignCertificate(-1, prec)
-        finally:
-            iv.prec = old
-        prec *= 2
+    den = math.lcm(*(a.denominator for row in x.coeffs for a in row))
+    terms = [(i, j, a.numerator * (den // a.denominator))
+             for i, row in enumerate(x.coeffs) for j, a in enumerate(row) if a]
+    top = f.dp + f.dq - 2
+    bits = 64
+    while bits <= _MAX_PREC:
+        pa, pb = _power_brackets(f.minpoly_p, bits), _power_brackets(f.minpoly_q, bits)
+        lo = hi = 0
+        for i, j, c in terms:
+            shift = bits * (top - i - j)
+            ends = ((pa[i][0] * pb[j][0]) << shift, (pa[i][1] * pb[j][1]) << shift)
+            lo += c * ends[c < 0]  # c < 0 swaps the ends
+            hi += c * ends[c > 0]
+        if lo > 0 or hi < 0:
+            return SignCertificate(1 if lo > 0 else -1, bits)
+        bits *= 2
     raise InternalInconsistencyError("sign refinement did not separate a nonzero value from 0")
 
 

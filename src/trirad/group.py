@@ -251,13 +251,9 @@ class Element:
 
     @classmethod
     def translation(cls, params, k=1):
-        """T^k as an element (T = -U S)."""
-        t = GroupWord(-1, (Syllable("U", 1), Syllable("S", 1)))
-        w = words.IDENTITY
-        step = t if k >= 0 else t.inverse()
-        for _ in range(abs(k)):
-            w = multiply(w, step, params.p, params.q)
-        return cls(params, w, _normalized=True)
+        """T^k in normal form: T = -U S, T^k = (-1)^k (U S)^k, T^-k = (-1)^k (S^(p-1) U^(q-1))^k."""
+        unit = _US if k >= 0 else (Syllable("S", params.p - 1), Syllable("U", params.q - 1))
+        return cls(params, GroupWord(-1 if k & 1 else 1, unit * abs(k)), _normalized=True)
 
     # -- group structure ----------------------------------------------------
 

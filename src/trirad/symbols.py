@@ -85,11 +85,10 @@ def psi_via_cocycle(el: Element) -> int:
 def rademacher_Psi(el: Element) -> int:
     cached = el._sym.get("Psi")
     if cached is None:
-        pq = el.params.p * el.params.q
-        val = psi(el) + Fraction(pq, 2) * el.asai() * (1 - el.trace_sign())
-        if val.denominator != 1:
+        twice = 2 * psi(el) + el.params.p * el.params.q * el.asai() * (1 - el.trace_sign())
+        if twice % 2:
             raise InternalInconsistencyError("Psi is not an integer")
-        cached = int(val)
+        cached = twice // 2
         el._sym["Psi"] = cached
     return cached
 

@@ -1,15 +1,21 @@
 """Exact field arithmetic: minimal polynomials, reduction, certified signs."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trirad
 from trirad.errors import DomainError
 from trirad.exactnum import (
+    _power_brackets,
     chebyshev_C,
     chebyshev_C_2x,
     get_field,
@@ -103,6 +109,67 @@ def test_sign_huge_coefficients():
     f = get_field(2, 5)
     big = 10**400
     assert sign(f.beta * big - big).value == 1
+
+
+def _reference(x, digits):
+    """x evaluated by sympy to `digits` significant digits."""
+    f = x.field
+    alpha = (2 * sympy.cos(sympy.pi / f.p)).evalf(digits)
+    beta = (2 * sympy.cos(sympy.pi / f.q)).evalf(digits)
+    total = sympy.Float(0, digits)
+    for i, row in enumerate(x.coeffs):
+        for j, a in enumerate(row):
+            total += sympy.Rational(a.numerator, a.denominator) * alpha**i * beta**j
+    return total
+
+
+@pytest.mark.parametrize("p,q", [(2, 5), (2, 7), (3, 4), (3, 5), (4, 5), (5, 7), (7, 11)])
+def test_interval_tier_matches_sympy_on_deep_cancellations(p, q):
+    # g 10^k - floor(g 10^k) cancels k digits, and x - r about k/2 more
+    f = get_field(p, q)
+    bits = []
+    for g in (f.alpha, f.beta):
+        if g.is_rational():
+            continue
+        for k in (20, 80, 320, 600):
+            digits = 2 * k + 60
+            fl = int(sympy.floor(_reference(g, digits) * 10**k))
+            x = g * 10**k - fl
+            r = Fraction(int(sympy.floor(_reference(x, digits) * 10 ** (k // 2))), 10 ** (k // 2))
+            tiny = Fraction(1, 10 ** (k // 2))
+            cases = [x, x - 1, x - r + tiny, x - r - tiny, x - r]
+            for v in cases + [-v for v in cases]:  # both signs of the coefficient of g
+                ref = _reference(v, digits)
+                assert abs(ref) > sympy.Float(10) ** (20 - digits)
+                cert = sign(v)
+                assert cert.value == (1 if ref > 0 else -1)
+                bits.append(cert.precision_bits)
+    assert max(bits) >= 1024
+
+
+@pytest.mark.parametrize("n", [4, 5, 7, 11, 13])
+@pytest.mark.parametrize("bits", [64, 1024, 16384])
+def test_power_brackets_hold_the_floor(n, bits):
+    mp = minpoly_2cos_pi_over(n)
+    scaled = (2 * sympy.cos(sympy.pi / n)).evalf(bits * 3 // 10 + 30) * 2**bits
+    a = int(scaled)
+    assert a < scaled < a + 1
+    brackets = _power_brackets(mp, bits)
+    assert len(brackets) == mp.degree
+    assert brackets[:2] == ((1, 1), (a, a + 1))
+    assert all(lo == a**k and hi == (a + 1) ** k for k, (lo, hi) in enumerate(brackets))
+
+
+def test_degenerate_generators_need_no_root():
+    assert _power_brackets(minpoly_2cos_pi_over(2), 64) == ((1, 1),)
+    assert _power_brackets(minpoly_2cos_pi_over(3), 1 << 20) == ((1, 1),)
+
+
+def test_import_does_not_load_mpmath():
+    env = dict(os.environ, PYTHONPATH=str(Path(trirad.__file__).parents[1]))
+    code = "import trirad.cli, trirad.symbols, trirad.linking, sys; assert 'mpmath' not in sys.modules"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
 
 
 def test_chebyshev_values():

@@ -38,7 +38,7 @@ from trirad.group import (
 )
 from trirad.linking import lk_s3
 from trirad.symbols import ghys_coding_23, modified_Psi_e
-from trirad.words import GroupWord, Syllable, parse_word
+from trirad.words import GroupWord, Syllable, normal_form, parse_word
 
 
 def el(params, text):
@@ -99,12 +99,19 @@ def test_element_determinants(P34, rng):
         assert x.matrix.inverse() == x.inverse().matrix
 
 
-def test_translation_word(P25):
-    t = Element.translation(P25)
-    assert t.word == GroupWord(-1, (Syllable("U", 1), Syllable("S", 1)))
-    assert t.matrix == P25.T
-    assert Element.translation(P25, -1).matrix == P25.T.inverse()
-    assert Element.translation(P25, 3).matrix == P25.T * P25.T * P25.T
+def test_translation_word():
+    for p, q in PQ_LIST:
+        P = get_params(p, q)
+        assert Element.translation(P).word == GroupWord(-1, (Syllable("U", 1), Syllable("S", 1)))
+        assert Element.translation(P, 0).matrix == P.identity_matrix
+        for step, direction in ((P.T, 1), (P.T.inverse(), -1)):
+            power = P.identity_matrix
+            for k in range(1, 151):
+                power = power * step
+                if k <= 5 or k == 150:
+                    t = Element.translation(P, direction * k)
+                    assert t.matrix == power
+                    assert t.word == normal_form(t.word, p, q)
 
 
 def test_classify_examples(P23, P25):
