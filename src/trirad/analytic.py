@@ -27,7 +27,7 @@ from numpy.polynomial.polynomial import polyval
 
 from trirad.errors import DomainError, NumericError, PreconditionError
 from trirad.group import Element, GroupParams, is_primitive
-from trirad.symbols import psi, rademacher_Psi
+from trirad.symbols import psi, syllable_Psi
 from trirad.words import GroupWord, Syllable, render_word
 
 
@@ -227,24 +227,13 @@ class ClassTable:
     entries: Tuple[ClassEntry, ...]
 
     def to_rows(self):
-        return [
-            {
-                "word": render_word(e.word),
-                "trace_numeric": e.trace,
-                "psi": e.psi,
-                "Psi": e.Psi,
-                "length": e.length,
-            }
-            for e in self.entries
-        ]
+        keys = ("word", "trace_numeric", "psi", "Psi", "length")
+        return [dict(zip(keys, (render_word(e.word), e.trace, e.psi, e.Psi, e.length))) for e in self.entries]
 
 
 def _lyndon_words(k: int, n: int):
-    """Lyndon words of length 1..n over the letters 0..k-1, in lexicographic order.
-
-    Duval's algorithm (Duval 1988; Ruskey, *Combinatorial Generation*, 7.2):
-    constant amortized time per word.
-    """
+    """Lyndon words of length 1..n over 0..k-1 in lexicographic order, in constant amortized
+    time each: Duval's algorithm (Duval 1988; Ruskey, *Combinatorial Generation*, 7.2)."""
     w = [-1]
     while w:
         w[-1] += 1
@@ -256,11 +245,12 @@ def _lyndon_words(k: int, n: int):
             w.pop()
 
 
-def _class_entry(el: Element) -> ClassEntry:
-    t = el.float_trace()
-    at = abs(t)
+def _class_entry(word: GroupWord, trace: float, Psi: int, pq: int) -> ClassEntry:
+    """Row of the hyperbolic class sigma = 1, S^a1 U^b1 ... S^ak U^bk; psi from `syllable_Psi`'s sign facts."""
+    at = abs(trace)
     xi = (at + math.sqrt(at * at - 4.0)) / 2.0
-    return ClassEntry(word=el.word, trace=t, psi=psi(el), Psi=rademacher_Psi(el), length=2.0 * math.log(xi))
+    psi_ = Psi - pq if (len(word.syllables) // 2) & 1 else Psi
+    return ClassEntry(word=word, trace=trace, psi=psi_, Psi=Psi, length=2.0 * math.log(xi))
 
 
 def enumerate_classes(params: GroupParams, max_syllables: int, max_workers=None) -> ClassTable:
@@ -268,17 +258,18 @@ def enumerate_classes(params: GroupParams, max_syllables: int, max_workers=None)
 
     A class of S^a U^b pairs is a primitive necklace over the (p-1)(q-1)
     letters (a, b), and its representative is the Lyndon word, the least
-    rotation.  The table lists them by length, then lexicographically.
-    max_workers is accepted and ignored; the rows are built in this thread.
+    rotation.  The table lists them by length, then lexicographically.  Rows:
+    the float shadow's trace, psi and Psi from `syllable_Psi`, and length =
+    2 log xi with xi + 1/xi = |trace|.  max_workers is accepted and ignored.
     """
     if max_syllables < 2:
         raise DomainError("max_syllables must be >= 2")
     p, q = params.p, params.q
     letters = [(Syllable("S", a), Syllable("U", b)) for a in range(1, p) for b in range(1, q)]
     lyndon = sorted(_lyndon_words(len(letters), max_syllables // 2), key=len)
-    words = (GroupWord(1, tuple(s for i in w for s in letters[i])) for w in lyndon)
-    els = (Element(params, w, _normalized=True) for w in words)
-    entries = [_class_entry(el) for el in els if el.classify() == "hyperbolic"]
+    els = (Element(params, GroupWord(1, tuple(s for i in w for s in letters[i])), _normalized=True) for w in lyndon)
+    hyp = [el for el in els if el.classify() == "hyperbolic"]
+    entries = [_class_entry(el.word, el.float_trace(), syllable_Psi(el.word.syllables, p, q), p * q) for el in hyp]
     return ClassTable(p=p, q=q, entries=tuple(entries))
 
 
@@ -307,31 +298,34 @@ def enumerate_classes_by_trace(params: GroupParams, max_trace: int, max_workers=
     tr(w R).  The bound also stops the L^k branch, whose trace stays 2, so no
     length cap is needed.
 
-    max_workers is accepted and ignored; the rows are built in this thread.
+    Rows come from the walk, with no field matrix or float shadow: the node
+    w = X_1...X_n = (a b; c d) codes S U^e1 ... S U^en = (-1)^n (X_n...X_1)^-1,
+    and tr(X_n...X_1) = tr(X_1^T...X_n^T) = tr(w) as X^T = J X J, J = (0 1; 1 0),
+    so the trace is (-1)^n (a + d), exact in floats (integers <= X).  Psi = #L -
+    #R (`syllable_Psi`) is carried along and psi follows from its sign facts.
+    max_workers is accepted and ignored.
     """
     if (params.p, params.q) != (2, 3):
         raise DomainError("trace-bounded enumeration is implemented for (p,q) = (2,3) only")
     if max_trace < 3:
         raise DomainError("max_trace must be >= 3")
     X = max_trace
-    reps = []
-    # node: (word, period, matrix of the word); children are pushed larger letter first
-    stack = [((1,), 1, (1, 0, 1, 1))]
+    L, R = (Syllable("S", 1), Syllable("U", 1)), (Syllable("S", 1), Syllable("U", 2))
+    entries = []
+    # node: (syllables, period in letters, Psi, matrix of the word); children are pushed larger letter first
+    stack = [(L, 1, 1, (1, 0, 1, 1))]
     while stack:
-        seq, per, (a, b, c, d) = stack.pop()
-        n = len(seq)
+        sylls, per, Psi, (a, b, c, d) = stack.pop()
+        n = len(sylls) // 2
         if per == n and 2 < a + d <= X:
-            reps.append(seq)
+            entries.append(_class_entry(GroupWord(1, sylls), float(-(a + d) if n & 1 else a + d), Psi, 6))
         if a + c + d > X:
             continue
-        if seq[n - per] == 1:
-            stack.append((seq + (2,), n + 1, (a, a + b, c, c + d)))
-            stack.append((seq + (1,), per, (a + b, b, c + d, d)))
+        if sylls[2 * (n - per) + 1] == L[1]:
+            stack.append((sylls + R, n + 1, Psi - 1, (a, a + b, c, c + d)))
+            stack.append((sylls + L, per, Psi + 1, (a + b, b, c + d, d)))
         else:
-            stack.append((seq + (2,), per, (a, a + b, c, c + d)))
-    letters = {e: (Syllable("S", 1), Syllable("U", e)) for e in (1, 2)}
-    words = (GroupWord(1, tuple(s for e in seq for s in letters[e])) for seq in reps)
-    entries = [_class_entry(Element(params, w, _normalized=True)) for w in words]
+            stack.append((sylls + R, per, Psi - 1, (a, a + b, c, c + d)))
     return ClassTable(p=2, q=3, entries=tuple(entries))
 
 

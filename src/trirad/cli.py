@@ -269,6 +269,7 @@ def cmd_verify(args):
         "inversion": 0,
         "phi_coboundary": 0,
         "euler_integrality": 0,
+        "word_formula": 0,
     }
     pq = params.p * params.q
     for _ in range(n):
@@ -290,6 +291,10 @@ def cmd_verify(args):
         _check(checks, "phi_coboundary", lhs == -Fraction(pq, 2) * s, x, y)
         symbols.euler_cocycle(x, y)  # raises InternalInconsistencyError unless integral
         checks["euler_integrality"] += 1
+        if x.classify() in ("hyperbolic", "parabolic"):
+            sylls = x.cyclic_reduce()[0].syllables
+            i = sylls[0].gen == "U"  # rotate to start with S
+            _check(checks, "word_formula", symbols.syllable_Psi(sylls[i:] + sylls[:i], params.p, params.q) == psi_x, x, y)
     payload = {"pq": [params.p, params.q], "seed": args.seed, "pairs": n, "checks": checks, "ok": True}
     _emit(args, payload)
     return 0

@@ -195,10 +195,6 @@ def get_params(p, q) -> GroupParams:
     return GroupParams(p, q)
 
 
-def generators(params: GroupParams):
-    return params.S, params.U, params.T
-
-
 def word_to_matrix(w: GroupWord, params: GroupParams) -> Matrix2:
     m = params.identity_matrix
     for gen, e in w.syllables:
@@ -459,12 +455,6 @@ def w_from_signs(s1, s2, s12) -> int:
     if (s1, s2, s12) == (-1, -1, 1):
         return -1
     return 0
-
-
-def cocycle_W(m1: Matrix2, m2: Matrix2, m12: Matrix2 = None) -> int:
-    if m12 is None:
-        m12 = m1 * m2
-    return w_from_signs(asai_sign(m1), asai_sign(m2), asai_sign(m12))
 
 
 def cocycle_W_el(x: Element, y: Element, xy: Element = None) -> int:

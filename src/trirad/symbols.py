@@ -15,7 +15,8 @@ and whose sign is read off the word, (c) exact arithmetic for that step alone.
 that `group` runs once per element for its shadow: tier (a) when it decides
 every prefix, else exact arithmetic for all of them.  The pipelines share no
 accumulator, cached result or tier beyond (a), so comparing them checks tiers
-(b) and (c) against plain exact arithmetic.
+(b) and (c) against plain exact arithmetic.  `syllable_Psi` is a third,
+matrix-free oracle: Psi of an S...U word from its exponents.
 """
 
 from __future__ import annotations
@@ -93,6 +94,33 @@ def rademacher_Psi(el: Element) -> int:
     return cached
 
 
+def syllable_Psi(syllables, p, q) -> int:
+    """Psi of sigma * P_1...P_k, P_j = S^aj U^bj, from the syllables alone:
+    Psi = 1/2 sum_j [q (p - 2 a_j) + p (q - 2 b_j)] = pq k + sum of the seeds;
+    at (2,3), S U^b adds 3 - 2b, so Psi = #L - #R (S U = -L^-1, S U^2 = -R^-1).
+
+    Signs: by the Chebyshev formulas (C_n > 0 for 0 < n < p, C_0 = C_p = 0),
+    -D P_j D, D = diag(1, -1), has positive diagonal, nonnegative off-diagonal,
+    and lower left C_a C'_(b+1) + C_(a+1) C'_b, 0 only on the cusp pair (p-1, q-1).
+    So P_1...P_m = (-1)^m D N D with N >= 0, N_11 > 0, and N_21 > 0 unless all
+    P_j are cusp pairs: the trace sign is sigma (-1)^k, the Asai sign -sigma (-1)^k,
+    but sigma (-1)^k (c = 0) on the cusp word (S^(p-1) U^(q-1))^k = (-1)^k T^-k.
+    Proof, sigma = 1, by induction on the coboundary fold over m: psi(P_1..P_m)
+    = psi(P_1..P_m-1) + psi(P_m) + 2pq W, and psi(P_m) = -(q a_m + p b_m) + 2pq
+    [cusp pair], as S^a, U^b have Asai sign +1.  By the signs above, step m adds
+    -(q a_m + p b_m) + 2pq e_m, with e_m = [m odd] before the first non-cusp pair
+    f, e_f = 0, e_m = [m even] after f: sum e_m = floor(k/2) (on the cusp word
+    e_m = [m odd], sum ceil(k/2)).  Then 2 Psi = 2 psi + pq asai (1 - trace sign)
+    gives the formula, and psi(-g) = psi(g) + pq asai(g) leaves Psi unchanged at
+    sigma = -1.  So psi = Psi when sigma (-1)^k = 1, else Psi - pq (Psi + pq on
+    the cusp word).
+    """
+    k, odd = divmod(len(syllables), 2)
+    if not k or odd or any(g != "SU"[i & 1] or not 0 < e < (p, q)[i & 1] for i, (g, e) in enumerate(syllables)):
+        raise DomainError("syllable_Psi needs a normal-form word S^a1 U^b1 ... S^ak U^bk")
+    return p * q * k + sum(_seed(g, e, p, q) for g, e in syllables)
+
+
 def dedekind_Phi(el: Element) -> Fraction:
     pq = el.params.p * el.params.q
     s = _c_sign(el) * el.trace_sign()
@@ -168,16 +196,11 @@ def ghys_coding_23(el: Element) -> EpsilonCoding:
         raise DomainError("epsilon coding is defined for (p,q) = (2,3) only")
     if el.classify() != "hyperbolic":
         raise DomainError("epsilon coding requires a hyperbolic element")
-    w, _ = el.cyclic_reduce()
-    sylls = w.syllables
-    if sylls and sylls[0].gen != "S":
-        sylls = sylls[1:] + sylls[:1]
-    eps = []
-    for i in range(0, len(sylls), 2):
-        if sylls[i] != ("S", 1) or sylls[i + 1].gen != "U":
-            raise InternalInconsistencyError("unexpected cyclic pattern for a hyperbolic class")
-        eps.append(1 if sylls[i + 1].exp == 1 else -1)
-    return EpsilonCoding(tuple(eps))
+    # the reduced word alternates S and U^b, b = 1 or 2, read from its first S on;
+    # eps = 3 - 2b is syllable_Psi's term
+    sylls = el.cyclic_reduce()[0].syllables
+    eps = tuple(3 - 2 * e for g, e in sylls if g == "U")
+    return EpsilonCoding(eps[1:] + eps[:1] if sylls[0].gen == "U" else eps)
 
 
 # ---------------------------------------------------------------------------

@@ -95,18 +95,6 @@ def minimal_period(syllables) -> int:
     return k
 
 
-def rotations(syllables):
-    k = len(syllables)
-    return [syllables[i:] + syllables[:i] for i in range(k)]
-
-
-def cyclic_key(syllables):
-    """Canonical representative of the rotation class (central sign ignored)."""
-    if not syllables:
-        return ()
-    return min(rotations(tuple(syllables)))
-
-
 # ---------------------------------------------------------------------------
 # text form: [-] (S|U)^<int> (* (S|U)^<int>)*
 

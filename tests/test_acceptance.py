@@ -20,7 +20,7 @@ from trirad.analytic import (
     enumerate_classes_by_trace,
     winding_residual_23,
 )
-from trirad.group import Element, cocycle_W_el, get_params, primitive_root
+from trirad.group import Element, cocycle_W_el, get_params, is_cusp_word, primitive_root
 from trirad.linking import lk_lens, lk_s3, m_gamma, n_gamma
 from trirad.symbols import (
     dedekind_Phi,
@@ -31,6 +31,7 @@ from trirad.symbols import (
     psi,
     psi_via_cocycle,
     rademacher_Psi,
+    syllable_Psi,
 )
 from trirad.words import GroupWord, Syllable
 
@@ -164,6 +165,42 @@ def test_criterion_07_epsilon_coding_23():
         el = Element(params, entry.word, _normalized=True)
         assert ghys_coding_23(el).total == rademacher_Psi(el)
     _report(7, f"sum of epsilons equals Psi on {len(table.entries)} classes (<=10 syllables)", t0)
+
+
+def test_criterion_07_word_formula_every_pair():
+    # criterion 7's epsilon sum generalised: Psi from the syllables of S^a1 U^b1 ...
+    # S^ak U^bk, on random and conjugated words of 2-60 syllables, both central signs
+    t0 = time.perf_counter()
+    rng = random.Random(7007)
+    count = 0
+    for p, q in PQ_LIST:
+        params = get_params(p, q)
+        pq = p * q
+        cusp_pair = (Syllable("S", p - 1), Syllable("U", q - 1))
+        for i in range(120):
+            k = rng.randint(1, 30)
+            pairs = []
+            for _ in range(k):
+                if i % 10 == 0 or rng.random() < 0.1:
+                    pairs += cusp_pair  # all cusp pairs on every tenth word
+                else:
+                    pairs += (Syllable("S", rng.randint(1, p - 1)), Syllable("U", rng.randint(1, q - 1)))
+            sylls, sigma = tuple(pairs), rng.choice((1, -1))
+            x = Element(params, GroupWord(sigma, sylls), _normalized=True)
+            Psi = syllable_Psi(sylls, p, q)
+            assert Psi == rademacher_Psi(x), x
+            # the sign facts, and psi from them
+            t = sigma * (-1) ** k
+            cusp = is_cusp_word(sylls, p, q)
+            assert x.trace_sign() == t and x.asai() == (t if cusp else -t), x
+            assert psi(x) == (Psi if t == 1 else Psi + pq if cusp else Psi - pq), x
+            # a conjugate: the formula on its cyclically reduced word, rotated to start with S
+            y = x.conjugate(random_element(params, rng, 8))
+            reduced = y.cyclic_reduce()[0].syllables
+            j = reduced[0].gen == "U"
+            assert syllable_Psi(reduced[j:] + reduced[:j], p, q) == rademacher_Psi(y) == Psi, y
+            count += 1
+    _report(7, f"word formula equals Psi, with the sign facts, on {count} words and their conjugates (7 pairs)", t0)
 
 
 def test_criterion_08_linking_arithmetic():

@@ -13,6 +13,7 @@ import pytest
 import trirad
 
 from trirad.analytic import (
+    ClassEntry,
     ClassTable,
     cycle_integral_23,
     distribution_stats,
@@ -212,9 +213,8 @@ def test_enumerate_classes_no_duplicates(P34):
     table = enumerate_classes(P34, 6)
     reps = set()
     for e in table.entries:
-        from trirad.words import cyclic_key
-
-        key = cyclic_key(e.word.syllables)
+        sylls = e.word.syllables
+        key = min(sylls[i:] + sylls[:i] for i in range(len(sylls)))
         assert key not in reps
         reps.add(key)
     assert len(table.entries) > 20
@@ -305,6 +305,27 @@ def test_enumerate_classes_matches_the_rotation_key_search(p, q):
     params = get_params(p, q)
     n = SYLLABLE_BOUNDS[(p, q)]
     assert [e.word for e in enumerate_classes(params, n).entries] == _reference_words_by_syllables(params, n)
+
+
+def _element_row(x):
+    """A class row built from the element: the shadow's trace and the computed psi and Psi."""
+    t = x.float_trace()
+    at = abs(t)
+    xi = (at + math.sqrt(at * at - 4.0)) / 2.0
+    return ClassEntry(word=x.word, trace=t, psi=psi(x), Psi=rademacher_Psi(x), length=2.0 * math.log(xi))
+
+
+@pytest.mark.parametrize("X", [3, 5, 12, 40, 100, 300])
+def test_by_trace_rows_equal_the_element_rows(P23, X):
+    entries = enumerate_classes_by_trace(P23, X).entries
+    assert entries == tuple(_element_row(Element(P23, e.word, _normalized=True)) for e in entries)
+
+
+@pytest.mark.parametrize("p,q", PQ_LIST)
+def test_enumerate_classes_rows_equal_the_element_rows(p, q):
+    params = get_params(p, q)
+    entries = enumerate_classes(params, SYLLABLE_BOUNDS[(p, q)]).entries
+    assert entries == tuple(_element_row(Element(params, e.word, _normalized=True)) for e in entries)
 
 
 @pytest.mark.parametrize("X", [5, 8, 12, 16])

@@ -201,6 +201,8 @@ def test_verify_command_and_determinism(capsys):
     code, d1 = run_json(capsys, "verify", "--pq", "3,4", "--count", "40")
     assert code == 0
     assert d1["ok"] and d1["checks"]["dual_pipeline"] == 40
+    # the word formula runs on the non-elliptic x only
+    assert d1["checks"]["word_formula"] == 27
     code, d2 = run_json(capsys, "verify", "--pq", "3,4", "--count", "40")
     assert d1 == d2
 

@@ -22,9 +22,7 @@ from trirad.group import (
     _fmul,
     asai_sign,
     asai_signs,
-    cocycle_W,
     cocycle_W_el,
-    generators,
     get_params,
     is_cusp_word,
     is_primitive,
@@ -46,7 +44,7 @@ def el(params, text):
 
 
 def test_generator_matrices_23(P23):
-    S, U, T = generators(P23)
+    S, U, T = P23.S, P23.U, P23.T
     f = P23.field
     assert S.entries() == (f.zero, -f.one, f.one, f.zero)
     assert U.entries() == (f.one, -f.one, f.one, f.zero)
@@ -286,11 +284,20 @@ def test_each_element_folds_its_shadow_once(psi_first, rng, monkeypatch):
 
 
 def test_class_rows_fold_each_syllable_once(P23, monkeypatch):
-    from trirad.analytic import enumerate_classes_by_trace
+    # trace-bounded rows come from the walk alone: no Element and no shadow;
+    # syllable-bounded rows fold each hyperbolic class's shadow once
+    from trirad.analytic import enumerate_classes, enumerate_classes_by_trace
 
     count = _count_calls(monkeypatch, group, "_fmul")
+    made = _count_calls(monkeypatch, Element, "__init__")
     table = enumerate_classes_by_trace(P23, 12)
-    assert count[0] == sum(len(e.word.syllables) for e in table.entries) == 368
+    assert len(table.entries) == 29 and count[0] == made[0] == 0
+    monkeypatch.undo()  # the Element counter takes no keyword arguments
+    count = _count_calls(monkeypatch, group, "_fmul")
+    for p, q, n in ((2, 3, 12), (3, 4, 6), (5, 7, 4)):
+        count[0] = 0
+        table = enumerate_classes(get_params(p, q), n)
+        assert count[0] == sum(len(e.word.syllables) for e in table.entries) > 0
 
 
 def test_psi_leaves_the_exact_matrix_behind(P23, monkeypatch):
@@ -408,7 +415,7 @@ def test_cocycle_values(P23):
     assert cocycle_W_el(s, one) == 0
     assert cocycle_W_el(-one, -one) == -1
     assert cocycle_W_el(s, s) == 1  # S^2 = -I, signs (+,+,-)
-    assert cocycle_W(s.matrix, s.matrix) == 1
+    assert cocycle_W_el(s, s, s * s) == 1  # the product passed in
 
 
 @pytest.mark.parametrize("p,q", [(2, 3), (3, 4), (5, 7)])

@@ -20,9 +20,10 @@ from trirad.symbols import (
     psi,
     psi_via_cocycle,
     rademacher_Psi,
+    syllable_Psi,
     symbol_report,
 )
-from trirad.words import parse_word
+from trirad.words import Syllable, parse_word
 
 
 def el(params, text):
@@ -215,10 +216,25 @@ def test_ghys_coding(P23):
     assert c.total == 0 == rademacher_Psi(el(P23, "U * S * U^2 * S"))
     c = ghys_coding_23(el(P23, "- U * S * U * S * U^2 * S"))
     assert c.total == 1
+    # read from the first S of the cyclically reduced word: S U S U^2
+    assert ghys_coding_23(el(P23, "U^2 * S * U * S")).epsilons == (1, -1)
     with pytest.raises(DomainError):
         ghys_coding_23(el(P23, "S"))
     with pytest.raises(DomainError):
         ghys_coding_23(el(get_params(2, 5), "U * S * U^3"))
+
+
+def test_syllable_Psi_values_and_domain(P23):
+    L, R = (Syllable("S", 1), Syllable("U", 1)), (Syllable("S", 1), Syllable("U", 2))
+    assert syllable_Psi(L + R + R, 2, 3) == -1  # #L - #R
+    assert syllable_Psi(L + R, 2, 3) == 0 == rademacher_Psi(el(P23, "S * U * S * U^2"))
+    # T^-1 = -(S^(p-1) U^(q-1)): Psi = -r on every pair
+    for p, q in PQ_LIST:
+        assert syllable_Psi((Syllable("S", p - 1), Syllable("U", q - 1)), p, q) == -(p * q - p - q)
+    bad = [(), L[:1], L[::-1], L + L[:1], (Syllable("S", 2), Syllable("U", 1)), (Syllable("S", 1), Syllable("U", 3))]
+    for sylls in bad:
+        with pytest.raises(DomainError):
+            syllable_Psi(sylls, 2, 3)
 
 
 def test_symbol_report(P23):

@@ -11,7 +11,6 @@ from trirad.words import (
     IDENTITY,
     GroupWord,
     Syllable,
-    cyclic_key,
     cyclic_reduce,
     minimal_period,
     multiply,
@@ -89,12 +88,6 @@ def test_minimal_period():
     assert minimal_period(s * 3) == 2
     assert minimal_period(s) == 2
     assert minimal_period((Syllable("S", 1), Syllable("U", 1), Syllable("S", 1), Syllable("U", 2))) == 4
-
-
-def test_cyclic_key_rotation_invariant():
-    s = (Syllable("S", 1), Syllable("U", 2), Syllable("S", 2))
-    assert cyclic_key(s) == cyclic_key(s[1:] + s[:1])
-    assert cyclic_key(()) == ()
 
 
 def test_parse_basic():
