@@ -4,19 +4,22 @@ The (2,3) verification uses the explicit q-expansions
     log Delta(z) = 2 pi i z - 24 sum_n sigma_{-1}(n) q^n
     E2(z) = 1 - 24 sum_n sigma_1(n) q^n,   E2*(z) = E2(z) - 3/(pi Im z)
 to check the cycle-integral and winding-number formulas against the exact psi,
-along one period t in [0, log xi] of the closed geodesic, with the q-series cut
-at N terms where e^(-2 pi N min Im z) <= tol/1000.  The cycle integral of E2 is
-a Gauss-Legendre sum in t of order 16, 32, ..., 1024: it returns the first
-order-2n sum within tol/20 of the order-n sum (the error estimate; the analytic
-integrand makes the order-2n error far smaller), and raises NumericError when
-even orders 512 and 1024 differ by more.
+along one period of the closed geodesic, centred on the top of its axis.
+Every node is first moved into the fundamental domain by `_reduce_23`, and E2
+and log Delta come from their values there through their modular laws, so the
+series' argument has Im >= sqrt(3)/2 whatever the geodesic, and the q-series
+is cut at the N terms where e^(-2 pi N sqrt(3)/2) <= tol/1000 (plus 10): 13
+terms at tol 1e-6, 14 at 1e-8, not a count set by the least Im z on the
+geodesic.  The cycle integral of E2 is a Gauss-Legendre sum in t of order 16,
+32, ..., 1024: it returns the first order-2n sum within tol/20 of the order-n
+sum (the error estimate; the analytic integrand makes the order-2n error far
+smaller), and raises NumericError when even orders 512 and 1024 differ by more.
 Syllable-bounded class enumeration and the arctan distribution statistics
 work for any (p,q); trace-bounded enumeration is (2,3)-only.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -71,24 +74,30 @@ def geodesic_data(el: Element) -> GeodesicData:
     return GeodesicData(w=w, w_prime=w_prime, xi=xi, M=M, length=2.0 * math.log(xi))
 
 
-def _geodesic_path_23(el: Element, who: str, tol: float):
-    """xi, the path t -> (z(t), z'(t)) of one period t in [0, log xi], and the truncation N.
+def _geodesic_path_23(el: Element, who: str):
+    """xi and the path t -> (z(t), z'(t)) of one period t in [-log xi / 2, log xi / 2].
 
     z(t) = (w i e^(2t) + w')/(i e^(2t) + 1) runs along the axis of el from
-    M i to el(M i); N bounds the q-series tail by tol where Im z is least.
+    z_0 = z(-log xi / 2) to el(z_0) = z(log xi / 2).  The period is centred on
+    the top M i = z(0), so its least Im z, at both ends, is (w - w') xi /
+    (1 + xi^2), about (w - w')/xi; a period starting at M i would reach down
+    to about (w - w')/xi^2.  That matters because the nodes are floats: a
+    node's real part is only good to an ulp of |z|, which is eps |z| / Im z
+    in hyperbolic distance, so the integrands carry a relative error of about
+    eps |w| xi / (w - w') at the ends (`_reduce_23`).  The series are
+    evaluated on the nodes' images in the fundamental domain, so their cost
+    does not depend on Im z.
     """
     _check_23_hyperbolic_rep(el, who)
     gd = geodesic_data(el)
     w, wp, xi = gd.w, gd.w_prime, gd.xi
     span = w - wp
-    y_top = xi * xi
-    N = _truncation_for(y_top * span / (1.0 + y_top * y_top), tol)
 
     def path(t):
         iy = 1j * np.exp(2.0 * t)
         return (w * iy + wp) / (iy + 1.0), 2.0 * iy * span / (iy + 1.0) ** 2
 
-    return xi, path, N
+    return xi, path
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +135,79 @@ def eisenstein_E2(z: complex, N: int = 200) -> complex:
     return 1.0 - 24.0 * _q_series(z, N, 1)
 
 
-def _truncation_for(y_min: float, tol: float) -> int:
-    N = int(math.log(1e3 / tol) / (2.0 * math.pi * y_min)) + 10
-    if N > 200000:
-        raise NumericError("geodesic runs too close to the real axis; series truncation not feasible")
-    return N
+def _truncation_for(tol: float) -> int:
+    """Terms N with e^(-2 pi N Im z) <= tol/1000 on the fundamental domain (Im z >= sqrt(3)/2), plus 10."""
+    return int(math.log(1e3 / tol) / (math.pi * math.sqrt(3.0))) + 10
+
+
+# `_reduce_23` inverts a node when |z| < 1 - 2^-51, so the rounding of the
+# inversion cannot undo it; it gives up after _MAX_PASSES passes, or when an
+# entry of gamma, held in a float, could pass 2^53
+_INVERT_BELOW = 1.0 - 2.0**-51
+_MAX_PASSES = 128
+_MAX_ENTRY = 2.0**53
+
+
+def _reduce_23(z):
+    """(gz, c, d): gz = gamma z in the fundamental domain of SL2(Z), gamma = (a b; c d).
+
+    Each pass translates every node by its nearest integer and inverts the
+    nodes with |z| < 1 (z -> -1/z); the loop ends at the first pass that
+    inverts no node, when every node is in the domain.  z is a complex or an array of them with Im z > 0; c and d come
+    back as float arrays of the integers, coprime, in z's shape.  gamma's rows
+    are carried as a + ib and c + id.
+
+    Where the loop stops: the translation z - n with |z - n| <= 1/2 is exact
+    (Sterbenz), so |Re gz| <= 1/2 exactly, and |gz| >= 1 - 2^-51 up to the
+    last bit of np.abs; hence Im gz >= sqrt(3)/2 - 2^-50 however the rounding
+    moved the node, and `_truncation_for` may count on Im gz >= sqrt(3)/2.
+    Cost: after a translation |Re z| <= 1/2, so while Im z <= 1/2 an inversion
+    at least doubles Im z, and a node needs at most about log2(1/Im z) + 3
+    passes (about one per decade of Im z on random nodes).  NumericError after
+    _MAX_PASSES passes, or when an entry of gamma reaches 2^53, where floats
+    no longer hold it exactly (|c| is about Im z^(-1/2), so near Im z = 1e-30).
+
+    Error, with eps = 2^-53 and k the number of passes: translations are
+    exact, and an inversion returns -1/z to a few ulps, which is the exact
+    image of a point within about 2 eps |z| <= 2 eps of z.  Pulled back to
+    the input, such a displacement shrinks by the factor Im z / Im z_j <= 1 (z_j
+    the node at that pass, gamma_j' = Im z_j / Im z), so the computed gz is
+    gamma(z~) for a z~ within 2 k eps of z, and |gz - gamma(z)| <= 2 k eps
+    Im gz / Im z to first order.  The modular laws divide by (cz + d)^2, whose
+    size is Im z / Im gz, so E2 and log Delta at z come out to a relative
+    eps |z| / Im z or so; that is the conditioning of E2 at a float node near
+    the real axis (an ulp of Re z is eps |z| / Im z in hyperbolic distance),
+    not a loss of the reduction.
+    """
+    z = np.array(z, dtype=complex)
+    if np.any(z.imag <= 0):
+        raise DomainError("the reduction requires Im z > 0")
+    top, bot = np.ones_like(z), np.full_like(z, 1j)
+    for _ in range(_MAX_PASSES):
+        n = np.rint(z.real)
+        z -= n
+        top -= n * bot
+        if np.max(np.abs(top)) >= _MAX_ENTRY:
+            raise NumericError("node too close to the real axis for the float reduction")
+        inv = np.abs(z) < _INVERT_BELOW
+        if not inv.any():
+            return z, bot.real, bot.imag
+        z = np.where(inv, -1.0 / z, z)
+        top, bot = np.where(inv, -bot, top), np.where(inv, top, bot)
+    raise NumericError(f"reduction did not end within {_MAX_PASSES} passes")
+
+
+def _e2_reduced(z, N: int):
+    """E2(z) = [E2(gz) + (6i/pi) c j] / j^2, j = cz + d: the weight-2 law, series taken at gz."""
+    gz, c, d = _reduce_23(z)
+    j = c * z + d
+    return (eisenstein_E2(gz, N) + (6j / math.pi) * c * j) / (j * j)
+
+
+def _arg_delta_reduced(z, N: int):
+    """Im log Delta(z) mod 2 pi, as Im log Delta(gz) - 12 arg(cz + d) (Delta(gz) = (cz + d)^12 Delta(z))."""
+    gz, c, d = _reduce_23(z)
+    return np.imag(log_delta_23(gz, N)) - 12.0 * np.angle(c * z + d)
 
 
 @dataclass(frozen=True)
@@ -148,19 +225,35 @@ _leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 def cycle_integral_23(el: Element, tol: float = 1e-6) -> CycleIntegralResult:
     """Quadrature of E2* along the closed geodesic; should return psi (r=1).
 
-    The non-holomorphic term uses the closed form
-    integral dz/Im z = -2i log j(gamma, M i); only E2 is integrated numerically.
+    The non-holomorphic term uses the closed form: integral dz/Im z over the
+    centred period is 2 (atan xi - atan(1/xi)).  Only E2 is integrated
+    numerically, at each node through E2's law from the node's image in the
+    fundamental domain (`_e2_reduced`), with the N = `_truncation_for(tol)`
+    terms that suffice there.
+
+    Length domain, at the default tol: every primitive class of at most 80
+    syllables.  The integrand is a smooth function of t whatever the class
+    (E2* dz is invariant), so the Gauss-Legendre order needed grows only with
+    the period; what grows with the class is the float error at the ends of
+    the period, about eps xi |w| / (w - w') (`_geodesic_path_23`).  An
+    80-syllable class is a word of 40 letters L, R with |trace| at most the
+    Lucas number L_40 = 2.3e8, and (L R)^20 L (82 syllables, trace 3.3e8)
+    still gives a residual of 3e-8.  Past xi of about 1e10 the orders stop
+    agreeing to tol/20 and NumericError is raised: 7 of 8 random classes of
+    120 syllables, all of 160.  Splitting the period into one piece per
+    rotation of the word, so that no node goes low, is the fix.
     """
     _check_23_hyperbolic_rep(el, "cycle_integral_23")
     if not is_primitive(el):
         raise PreconditionError("cycle_integral_23 requires a primitive element")
-    xi, path, N = _geodesic_path_23(el, "cycle_integral_23", tol)
+    xi, path = _geodesic_path_23(el, "cycle_integral_23")
+    N = _truncation_for(tol)
     half = 0.5 * math.log(xi)
 
     def gauss(n):
         x, wts = _leggauss(n)
-        z, dz = path(half * (x + 1.0))
-        return half * np.sum(wts * eisenstein_E2(z, N) * dz)
+        z, dz = path(half * x)
+        return half * np.sum(wts * _e2_reduced(z, N) * dz)
 
     coarse = gauss(_GL_ORDERS[0])
     for n in _GL_ORDERS[1:]:
@@ -170,9 +263,8 @@ def cycle_integral_23(el: Element, tol: float = 1e-6) -> CycleIntegralResult:
         coarse = fine
     else:
         raise NumericError("quadrature did not converge within the requested tolerance")
-    # j(gamma, M i) = xi^{-1} (1 + i xi^2)/(1 + i)
-    logj = cmath.log((1.0 + 1j * xi * xi) / (1.0 + 1j)) - math.log(xi)
-    total = complex(fine) + (6j / math.pi) * logj
+    # integral of dz/Im z over the period: 2 (atan xi - atan(1/xi))
+    total = complex(fine) - (6.0 / math.pi) * (math.atan(xi) - math.atan(1.0 / xi))
     if abs(total.imag) > 100 * tol:
         raise NumericError("cycle integral has a non-negligible imaginary part")
     value = total.real
@@ -190,13 +282,20 @@ def winding_number_23(el: Element, samples: Optional[int] = None) -> int:
 
 
 def winding_residual_23(el: Element, samples: Optional[int] = None):
-    xi, path, N = _geodesic_path_23(el, "winding_residual_23", 1e-8)
+    """(winding, distance of the summed turns from it) of j(g,i)^(-12) Delta(g i) over one period.
+
+    The phase of Delta at each sample comes from the sample's image in the
+    fundamental domain (`_arg_delta_reduced`) and is right only modulo 2 pi;
+    the wrapped differences below absorb that.
+    """
+    xi, path = _geodesic_path_23(el, "winding_residual_23")
+    N = _truncation_for(1e-8)
     n_samples = samples or 1024
     while True:
-        t = np.linspace(0.0, math.log(xi), n_samples)
+        t = np.linspace(-0.5, 0.5, n_samples) * math.log(xi)
         # j(g_t, i) = (e^t i + e^-t)/sqrt(span); constant |.| factors do not move the phase
         logj = np.log(np.exp(t) * 1j + np.exp(-t))
-        ph = np.imag(log_delta_23(path(t)[0], N)) - 12.0 * np.imag(logj)
+        ph = _arg_delta_reduced(path(t)[0], N) - 12.0 * np.imag(logj)
         # unwrap: each step should already be small
         wrapped = (np.diff(ph) + np.pi) % (2 * np.pi) - np.pi
         if not (len(wrapped) and np.max(np.abs(wrapped)) >= np.pi * 0.5):

@@ -265,11 +265,22 @@ class Element:
         return Element(self.params, GroupWord(-self.word.sign, self.word.syllables), _normalized=True)
 
     def __pow__(self, n: int) -> "Element":
-        base = self if n >= 0 else self.inverse()
-        out = Element.identity(self.params)
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        """self^n = g c^n g^-1 from the cached cyclic reduction self = g c g^-1.
+
+        A cyclically reduced c of two or more syllables starts and ends with
+        different generators, so c^n (or (c^-1)^|n|, c^-1 in normal form) is
+        its syllables repeated; one `normal_form` pass then cancels across g
+        and folds a c of at most one syllable (+-I, or a power of S or U), so
+        the cost is linear in |n|.
+        """
+        if -1 <= n <= 1:
+            return (self.inverse(), Element.identity(self.params), self)[n + 1]
+        p, q = self.params.p, self.params.q
+        core, g = self.cyclic_reduce()
+        base = core if n > 0 else normal_form(core.inverse(), p, q)
+        k = abs(n)
+        power = GroupWord(base.sign**k, base.syllables * k)
+        return Element(self.params, g.concat(power).concat(g.inverse()))
 
     def conjugate(self, g: "Element") -> "Element":
         """g^-1 * self * g."""

@@ -3,8 +3,10 @@
 import cmath
 import math
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,10 @@ import trirad
 from trirad.analytic import (
     ClassEntry,
     ClassTable,
+    _arg_delta_reduced,
+    _e2_reduced,
+    _reduce_23,
+    _truncation_for,
     cycle_integral_23,
     distribution_stats,
     eisenstein_E2,
@@ -26,7 +32,7 @@ from trirad.analytic import (
     winding_residual_23,
 )
 from trirad.errors import DomainError, NumericError, PreconditionError
-from trirad.group import Element, get_params
+from trirad.group import Element, get_params, is_primitive
 from trirad.symbols import ghys_coding_23, psi, rademacher_Psi
 from trirad.words import GroupWord, Syllable, minimal_period, parse_word, render_word
 
@@ -158,19 +164,124 @@ def test_cycle_integral_order_cap(P23):
         cycle_integral_23(el(P23, "U * S * U^2 * S"), tol=1e-30)
 
 
-def test_cycle_integral_on_ten_syllable_classes(P23):
-    reps = []
-    for entry in enumerate_classes(P23, 10).entries:
-        if abs(entry.trace) >= 100:
-            continue
-        x = Element(P23, entry.word, _normalized=True)
-        if x.trace_sign() < 0:
-            x = -x
-        reps.append(x if x.asai() > 0 else x.inverse())
-    assert len(reps) == 12
+def _oriented(x):
+    """The representative with tr > 2 and c > 0, as `trirad numeric-check` takes it."""
+    if x.trace_sign() < 0:
+        x = -x
+    return x if x.asai() > 0 else x.inverse()
+
+
+def test_cycle_integral_on_every_class_to_sixteen_syllables(P23):
+    reps = [_oriented(Element(P23, entry.word, _normalized=True)) for entry in enumerate_classes(P23, 16).entries]
+    assert len(reps) == 69
     for x in reps:
         res = cycle_integral_23(x)
-        assert res.residual < 1e-6, (x, res)
+        assert res.residual < 1e-10, (x, res)
+
+
+EPS = 2.0**-53
+
+
+def _exact_image(gamma, z):
+    """gamma(z) for an integer matrix, in exact rationals, z's float parts taken exactly."""
+    a, b, c, d = gamma
+    x, y = Fraction(z.real), Fraction(z.imag)
+    nr, ni, dr, di = a * x + b, a * y, c * x + d, c * y
+    den = dr * dr + di * di
+    return (nr * dr + ni * di) / den, (ni * dr - nr * di) / den
+
+
+def _reduction_nodes(rng):
+    """Im z in [0.01, 3] at random, on |z| = 1 and on Re z = +-1/2; then nodes down to Im z = 1e-12."""
+    ys = [rng.uniform(0.01, 3) for _ in range(200)]
+    zs = [complex(rng.uniform(-4, 4), y) for y in ys]
+    zs += [cmath.exp(1j * rng.uniform(0.01, math.pi - 0.01)) for _ in range(60)]
+    zs += [complex(s * 0.5, rng.uniform(0.01, 3)) for s in (1, -1) for _ in range(30)]
+    zs += [1j, cmath.exp(1j * math.pi / 3), cmath.exp(2j * math.pi / 3), 0.5 + 0.01j]
+    deep = [complex(rng.uniform(-4, 4), 10 ** rng.uniform(-12, -2)) for _ in range(100)]
+    return zs, deep
+
+
+def test_reduce_23_lands_in_the_fundamental_domain_within_its_error_bound():
+    rng = random.Random(23)
+    zs, deep = _reduction_nodes(rng)
+    arr = np.array(zs + deep)
+    gz, c, d = _reduce_23(arr)
+    assert gz.shape == c.shape == d.shape == arr.shape
+    for j in range(0, len(arr), 10):  # a scalar gives the same answer as in the array
+        g1, c1, d1 = _reduce_23(arr[j])
+        assert (complex(g1), float(c1), float(d1)) == (gz[j], c[j], d[j])
+    for z, g, cf, df in zip(arr, gz, c, d):
+        assert abs(g.real) <= 0.5 and abs(g) >= 1 - 2.0**-50 and g.imag >= math.sqrt(3) / 2 - 2.0**-50, (z, g)
+        ci, di = int(cf), int(df)
+        assert (ci, di) == (cf, df) and math.gcd(ci, di) == 1, (z, cf, df)
+        # a top row with ad - bc = 1; gamma is it up to a translation T^m
+        a = di if ci == 0 else pow(di, -1, abs(ci))
+        b = 0 if ci == 0 else (a * di - 1) // ci
+        assert a * di - b * ci == 1
+        er, ei = _exact_image((a, b, ci, di), z)
+        m = round(Fraction(g.real) - er)
+        err = abs(complex(float(Fraction(g.real) - er - m), float(Fraction(g.imag) - ei)))
+        # the docstring's bound: 2 k eps Im gz / Im z for k <= log2(1/Im z) + 3 passes, plus gz's own rounding
+        k = max(math.log2(1 / z.imag), 1) + 3
+        assert err <= 2 * k * EPS * g.imag / z.imag + 2 * EPS * abs(g), (z, g, err)
+        if z.imag >= 0.01:
+            assert err <= 1e-12 * abs(g), (z, g, err)
+
+
+def test_reduced_series_match_the_direct_series():
+    assert (_truncation_for(1e-6), _truncation_for(1e-8)) == (13, 14)
+    zs, _ = _reduction_nodes(random.Random(7))
+    arr = np.array(zs)
+    N = _truncation_for(1e-8)
+    e2, phase = _e2_reduced(arr, N), _arg_delta_reduced(arr, N)
+    # 1000 terms make the direct tails negligible at Im z >= 0.01
+    direct_e2, direct_ld = eisenstein_E2(arr, 1000), log_delta_23(arr, 1000)
+    assert np.all(np.abs(e2 - direct_e2) <= 1e-10 * np.maximum(1.0, np.abs(direct_e2)))
+    gap = (phase - direct_ld.imag + math.pi) % (2 * math.pi) - math.pi
+    assert np.max(np.abs(gap)) <= 1e-10
+    for z in zs[::25]:
+        assert abs(_e2_reduced(z, N) - eisenstein_E2(z, 1000)) <= 1e-10 * max(1.0, abs(eisenstein_E2(z, 1000)))
+
+
+def _random_primitive_23(P23, rng, syllables):
+    """An oriented primitive (2,3) class of the given (even) syllable count, as a word over L = S U, R = S U^2."""
+    L, R = (Syllable("S", 1), Syllable("U", 1)), (Syllable("S", 1), Syllable("U", 2))
+    while True:
+        letters = [rng.choice((L, R)) for _ in range(syllables // 2)]
+        if L in letters and R in letters:
+            x = _oriented(Element(P23, GroupWord(1, tuple(s for ab in letters for s in ab))))
+            if is_primitive(x):
+                return x
+
+
+def _alternating_23(P23, k):
+    """(L R)^k L: the greatest trace among words of 2k + 1 letters L, R (checked by exhaustion to 17 letters)."""
+    word = "S * U * S * U^2 * " * k + "S * U"
+    return _oriented(el(P23, word))
+
+
+def test_long_classes_inside_the_length_domain(P23):
+    rng = random.Random(2050)
+    xs = [_random_primitive_23(P23, rng, n) for n in range(20, 52, 2) for _ in range(24)]
+    # 50 syllables, trace 1.5e5; and 82 syllables, trace 3.3e8, above the trace of every
+    # 80-syllable class (at most the Lucas number L_40 = 2.3e8)
+    xs += [_alternating_23(P23, 12), _alternating_23(P23, 20)]
+    for x in xs:
+        res = cycle_integral_23(x)
+        winding, _ = winding_residual_23(x)
+        assert res.residual < 1e-6 and winding == res.psi == psi(x), (x, res, winding)
+
+
+def test_classes_past_the_length_domain_are_right_or_refused(P23):
+    rng = random.Random(80)
+    xs = [_random_primitive_23(P23, rng, n) for n in (80, 120, 160)] + [_alternating_23(P23, 30)]
+    for x in xs:
+        try:
+            res = cycle_integral_23(x)
+        except NumericError:
+            continue
+        assert res.residual < 1e-4 and res.psi == psi(x), (x, res)
 
 
 def test_import_leaves_out_scipy():

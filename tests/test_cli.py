@@ -171,6 +171,13 @@ def test_numeric_check_command(capsys):
     assert all(row["ok"] for row in d["classes"])
 
 
+def test_numeric_check_to_sixteen_syllables(capsys):
+    code, d = run_json(capsys, "numeric-check", "--pq", "2,3", "--max-syllables", "16")
+    assert code == 0 and d["failures"] == 0
+    assert len(d["classes"]) == 69
+    assert all(row["ok"] and row["cycle_residual"] < 1e-10 for row in d["classes"])
+
+
 def test_numeric_check_failure_exits_6(capsys, monkeypatch):
     from trirad import analytic
 

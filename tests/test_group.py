@@ -495,6 +495,30 @@ def test_primitive_root_of_negative(P25):
     assert rho.trace_sign() > 0
 
 
+def _pow_by_multiplication(x, n):
+    """x^n as |n| successive products: the reference for `Element.__pow__`."""
+    base = x if n >= 0 else x.inverse()
+    out = Element.identity(x.params)
+    for _ in range(abs(n)):
+        out = out * base
+    return out
+
+
+@pytest.mark.parametrize("p,q", PQ_LIST)
+def test_power_matches_repeated_multiplication(p, q, rng):
+    params = get_params(p, q)
+    S, U = Element.generator(params, "S"), Element.generator(params, "U")
+    xs = [random_element(params, rng, 8) for _ in range(6)]
+    xs += [x.conjugate(random_element(params, rng, 5)) for x in xs[:4]]
+    xs += [Element.generator(params, "S", p - 1), U.conjugate(S * U), Element.translation(params, -2).conjugate(S)]
+    xs += [Element.identity(params), -Element.identity(params), Element.translation(params, 1)]
+    classes = {x.classify() for x in xs}
+    assert classes == {"central", "elliptic", "parabolic", "hyperbolic"}, classes
+    for x in xs + [-x for x in xs]:
+        for n in range(-25, 26):
+            assert (x**n).word == _pow_by_multiplication(x, n).word, (x, n)
+
+
 def test_cyclic_reduction_is_computed_once_per_element(P23, monkeypatch):
     reduced = []
     real = group.cyclic_reduce
