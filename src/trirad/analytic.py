@@ -23,14 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from trirad.errors import DomainError, NumericError, PreconditionError
 from trirad.group import Element, GroupParams, is_primitive
-from trirad.symbols import psi, syllable_Psi
+from trirad.symbols import syllable_Psi
 from trirad.words import GroupWord, Syllable, render_word
 
 
@@ -47,10 +47,13 @@ class GeodesicData:
     length: float
 
 
-def _check_23_hyperbolic_rep(el: Element, who: str):
+def _check_23(el: Element, who: str, primitive: bool = False):
+    """The preconditions of the (2,3) quadrature and winding, checked once per public call."""
     if (el.params.p, el.params.q) != (2, 3):
         raise DomainError(f"{who} is implemented for (p,q) = (2,3) only")
     _check_hyperbolic_rep(el, who)
+    if primitive and not is_primitive(el):
+        raise PreconditionError(f"{who} requires a primitive element")
 
 
 def _check_hyperbolic_rep(el: Element, who: str):
@@ -61,9 +64,28 @@ def _check_hyperbolic_rep(el: Element, who: str):
 
 
 def geodesic_data(el: Element) -> GeodesicData:
-    """Fixed points, scaling matrix and geodesic length of a tr>2, c>0 element."""
+    """Fixed points, scaling matrix and geodesic length of a tr>2, c>0 element.
+
+    The float entries are el.matrix.float_entries(), bit for bit, read off the
+    float shadow where it decides them.  At (2,3) the exact entries are
+    integers n, and the shadow (x, e, k) bounds |2^-k n - x| <= e
+    (`group._fmul`).  When k = 0, every e < 1/4 and every |x| < 2^52, x is
+    within 1/2 of n only, so round(x) = n, and |n| <= 2^52 is a float exactly.
+    The bound is 1/4 rather than 1/2 because it is itself evaluated in floats
+    and may come out a few ulps low.  Every other pair, and a (2,3) shadow
+    past those bounds, takes the exact matrix; on random classes the bounds
+    pass 1/4 from about 126 syllables on, with entries near 4e11.
+    """
     _check_hyperbolic_rep(el, "geodesic_data")
-    a, b, c, d = el.matrix.float_entries()
+    return _geodesic_data(el)
+
+
+def _geodesic_data(el: Element) -> GeodesicData:
+    x, e, k = el.fmat
+    if (el.params.p, el.params.q) == (2, 3) and k == 0 and max(e) < 0.25 and max(map(abs, x)) < 2.0**52:
+        a, b, c, d = (float(round(v)) for v in x)
+    else:
+        a, b, c, d = el.matrix.float_entries()
     t = a + d
     disc = math.sqrt(t * t - 4.0)
     w = ((a - d) + disc) / (2.0 * c)
@@ -74,7 +96,7 @@ def geodesic_data(el: Element) -> GeodesicData:
     return GeodesicData(w=w, w_prime=w_prime, xi=xi, M=M, length=2.0 * math.log(xi))
 
 
-def _geodesic_path_23(el: Element, who: str):
+def _geodesic_path_23(el: Element):
     """xi and the path t -> (z(t), z'(t)) of one period t in [-log xi / 2, log xi / 2].
 
     z(t) = (w i e^(2t) + w')/(i e^(2t) + 1) runs along the axis of el from
@@ -86,10 +108,9 @@ def _geodesic_path_23(el: Element, who: str):
     in hyperbolic distance, so the integrands carry a relative error of about
     eps |w| xi / (w - w') at the ends (`_reduce_23`).  The series are
     evaluated on the nodes' images in the fundamental domain, so their cost
-    does not depend on Im z.
+    does not depend on Im z.  el must have passed `_check_23`.
     """
-    _check_23_hyperbolic_rep(el, who)
-    gd = geodesic_data(el)
+    gd = _geodesic_data(el)
     w, wp, xi = gd.w, gd.w_prime, gd.xi
     span = w - wp
 
@@ -242,11 +263,15 @@ def cycle_integral_23(el: Element, tol: float = 1e-6) -> CycleIntegralResult:
     agreeing to tol/20 and NumericError is raised: 7 of 8 random classes of
     120 syllables, all of 160.  Splitting the period into one piece per
     rotation of the word, so that no node goes low, is the fix.
+
+    psi is read off the word, with no exact arithmetic: Psi is a class
+    invariant and does not depend on the central sign, so it is
+    `syllable_Psi` of the cyclically reduced word rotated to start with S;
+    and 2 Psi = 2 psi + pq asai (1 - trace sign) (`symbols.rademacher_Psi`)
+    gives psi = Psi at tr > 2.
     """
-    _check_23_hyperbolic_rep(el, "cycle_integral_23")
-    if not is_primitive(el):
-        raise PreconditionError("cycle_integral_23 requires a primitive element")
-    xi, path = _geodesic_path_23(el, "cycle_integral_23")
+    _check_23(el, "cycle_integral_23", primitive=True)
+    xi, path = _geodesic_path_23(el)
     N = _truncation_for(tol)
     half = 0.5 * math.log(xi)
 
@@ -268,16 +293,18 @@ def cycle_integral_23(el: Element, tol: float = 1e-6) -> CycleIntegralResult:
     if abs(total.imag) > 100 * tol:
         raise NumericError("cycle integral has a non-negligible imaginary part")
     value = total.real
-    p = psi(el)
-    return CycleIntegralResult(value=value, psi=p, residual=abs(value - p))
+    # a hyperbolic reduced word alternates S and U, so one rotation starts it with S
+    sylls = el.cyclic_reduce()[0].syllables
+    if sylls[0].gen == "U":
+        sylls = sylls[1:] + sylls[:1]
+    psi_ = syllable_Psi(sylls, 2, 3)
+    return CycleIntegralResult(value=value, psi=psi_, residual=abs(value - psi_))
 
 
 def winding_number_23(el: Element, samples: Optional[int] = None) -> int:
     """Winding index of j(g,i)^(-12) Delta(g i) along the geodesic-flow loop."""
-    _check_23_hyperbolic_rep(el, "winding_number_23")
-    if not is_primitive(el):
-        raise PreconditionError("winding_number_23 requires a primitive element")
-    winding, _ = winding_residual_23(el, samples)
+    _check_23(el, "winding_number_23", primitive=True)
+    winding, _ = _winding_residual_23(el, samples)
     return winding
 
 
@@ -288,7 +315,12 @@ def winding_residual_23(el: Element, samples: Optional[int] = None):
     fundamental domain (`_arg_delta_reduced`) and is right only modulo 2 pi;
     the wrapped differences below absorb that.
     """
-    xi, path = _geodesic_path_23(el, "winding_residual_23")
+    _check_23(el, "winding_residual_23")
+    return _winding_residual_23(el, samples)
+
+
+def _winding_residual_23(el: Element, samples: Optional[int]):
+    xi, path = _geodesic_path_23(el)
     N = _truncation_for(1e-8)
     n_samples = samples or 1024
     while True:
@@ -310,8 +342,9 @@ def winding_residual_23(el: Element, samples: Optional[int] = None):
 # class enumeration and distribution statistics
 
 
-@dataclass(frozen=True)
-class ClassEntry:
+class ClassEntry(NamedTuple):
+    """One row of a class table; a tuple, since a table holds one per class."""
+
     word: GroupWord
     trace: float
     psi: int
@@ -349,7 +382,7 @@ def _class_entry(word: GroupWord, trace: float, Psi: int, pq: int) -> ClassEntry
     at = abs(trace)
     xi = (at + math.sqrt(at * at - 4.0)) / 2.0
     psi_ = Psi - pq if (len(word.syllables) // 2) & 1 else Psi
-    return ClassEntry(word=word, trace=trace, psi=psi_, Psi=Psi, length=2.0 * math.log(xi))
+    return ClassEntry(word, trace, psi_, Psi, 2.0 * math.log(xi))
 
 
 def enumerate_classes(params: GroupParams, max_syllables: int, max_workers=None) -> ClassTable:

@@ -17,6 +17,7 @@ import trirad
 from trirad.analytic import (
     ClassEntry,
     ClassTable,
+    GeodesicData,
     _arg_delta_reduced,
     _e2_reduced,
     _reduce_23,
@@ -32,11 +33,11 @@ from trirad.analytic import (
     winding_residual_23,
 )
 from trirad.errors import DomainError, NumericError, PreconditionError
-from trirad.group import Element, get_params, is_primitive
+from trirad.group import Element, Matrix2, get_params, is_primitive
 from trirad.symbols import ghys_coding_23, psi, rademacher_Psi
 from trirad.words import GroupWord, Syllable, minimal_period, parse_word, render_word
 
-from conftest import PQ_LIST
+from conftest import PQ_LIST, random_element
 
 
 def el(params, text):
@@ -282,6 +283,68 @@ def test_classes_past_the_length_domain_are_right_or_refused(P23):
         except NumericError:
             continue
         assert res.residual < 1e-4 and res.psi == psi(x), (x, res)
+
+
+def _exact_geodesic_data(x):
+    """`geodesic_data` from the exact matrix's float entries: the reference for the shadow path."""
+    a, b, c, d = x.matrix.float_entries()
+    t = a + d
+    disc = math.sqrt(t * t - 4.0)
+    w = ((a - d) + disc) / (2.0 * c)
+    w_prime = ((a - d) - disc) / (2.0 * c)
+    xi = c * w + d
+    s = math.sqrt(w - w_prime)
+    M = ((w / s, w_prime / s), (1.0 / s, 1.0 / s))
+    return GeodesicData(w=w, w_prime=w_prime, xi=xi, M=M, length=2.0 * math.log(xi))
+
+
+def _bits(gd):
+    return [v.hex() for v in (gd.w, gd.w_prime, gd.xi, gd.length, *gd.M[0], *gd.M[1])]
+
+
+def test_geodesic_data_from_the_shadow_is_the_exact_path_bit_for_bit(P23, P25, monkeypatch):
+    rng = random.Random(417)
+    xs = [_random_primitive_23(P23, rng, n) for n in range(4, 302, 6)]
+    xs.append(_oriented(el(P25, "S * U * S * U^3")))  # not (2,3): the exact path
+    exact_reads = []
+    float_entries = Matrix2.float_entries
+    monkeypatch.setattr(Matrix2, "float_entries", lambda m: exact_reads.append(m) or float_entries(m))
+    fell_back = []
+    for x in xs:
+        before = len(exact_reads)
+        got = geodesic_data(x)
+        fell_back.append(len(exact_reads) > before)
+        assert _bits(got) == _bits(_exact_geodesic_data(x)), x
+    # the shadow decides the short classes; its bounds pass 1/4 on long ones, which take the exact path
+    assert not any(fell_back[:20]) and any(fell_back[:-1]) and fell_back[-1]
+
+
+def test_quadrature_of_the_round_classes_does_no_exact_multiply(P23, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("exact matrix product on the quadrature path")
+
+    monkeypatch.setattr(Matrix2, "__mul__", refuse)
+    rows = [e for e in enumerate_classes_by_trace(P23, 100).entries if len(e.word) <= 12]
+    assert len(rows) == 21
+    for e in rows:
+        x = _oriented(Element(P23, e.word, _normalized=True))
+        res = cycle_integral_23(x)
+        winding, residual = winding_residual_23(x)
+        assert res.residual < 1e-6 and winding == res.psi and residual < 0.01, (x, res, winding)
+
+
+def test_cycle_integral_psi_is_the_exact_psi(P23):
+    rng = random.Random(1723)
+    seen = set()
+    for n in range(4, 28, 2):
+        for _ in range(2):
+            core = _random_primitive_23(P23, rng, n)
+            g = random_element(P23, rng, max_syllables=5)
+            x = _oriented(g * core * g.inverse())
+            seen.add((x.word.sign, x.cyclic_reduce()[0].syllables[0].gen))
+            assert cycle_integral_23(x).psi == psi(x), x
+    # central sign -1 (from negation) and reductions that start with U (mostly from inverse()) both occur
+    assert seen == {(1, "S"), (1, "U"), (-1, "S"), (-1, "U")}
 
 
 def test_import_leaves_out_scipy():
