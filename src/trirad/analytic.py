@@ -266,9 +266,9 @@ def cycle_integral_23(el: Element, tol: float = 1e-6) -> CycleIntegralResult:
 
     psi is read off the word, with no exact arithmetic: Psi is a class
     invariant and does not depend on the central sign, so it is
-    `syllable_Psi` of the cyclically reduced word rotated to start with S;
-    and 2 Psi = 2 psi + pq asai (1 - trace sign) (`symbols.rademacher_Psi`)
-    gives psi = Psi at tr > 2.
+    `syllable_Psi` of the cyclically reduced word rotated to start with S, as
+    in `symbols.rademacher_Psi`; and the defining relation
+    2 Psi = 2 psi + pq asai (1 - trace sign) gives psi = Psi at tr > 2.
     """
     _check_23(el, "cycle_integral_23", primitive=True)
     xi, path = _geodesic_path_23(el)

@@ -279,8 +279,10 @@ def cmd_verify(args):
         _check(checks, "dual_pipeline", symbols.psi(x) == symbols.psi_via_cocycle(x), x, y)
         lhs = symbols.psi(xy) - symbols.psi(x) - symbols.psi(y)
         _check(checks, "coboundary", lhs == 2 * pq * cocycle_W_el(x, y, xy), x, y)
-        psi_x = symbols.rademacher_Psi(x)
-        holds = symbols.rademacher_Psi(x.conjugate(y)) == psi_x == symbols.rademacher_Psi(-x)
+        # Psi is read off the word; check it against psi: 2 Psi = 2 psi + pq asai (1 - trace sign)
+        els = (x, x.conjugate(y), -x)
+        twice = [2 * symbols.psi(e) + pq * e.asai() * (1 - e.trace_sign()) for e in els]
+        holds = twice == [2 * symbols.rademacher_Psi(e) for e in els] == twice[:1] * 3
         _check(checks, "class_invariance", holds, x, y)
         # c = 0 exactly on the cusp words; there x = +-T^k, so d = a has the Asai sign
         d_neg = is_cusp_word(x.word.syllables, params.p, params.q) and x.asai() < 0
@@ -294,7 +296,7 @@ def cmd_verify(args):
         if x.classify() in ("hyperbolic", "parabolic"):
             sylls = x.cyclic_reduce()[0].syllables
             i = sylls[0].gen == "U"  # rotate to start with S
-            _check(checks, "word_formula", symbols.syllable_Psi(sylls[i:] + sylls[:i], params.p, params.q) == psi_x, x, y)
+            _check(checks, "word_formula", 2 * symbols.syllable_Psi(sylls[i:] + sylls[:i], params.p, params.q) == twice[0], x, y)
     payload = {"pq": [params.p, params.q], "seed": args.seed, "pairs": n, "checks": checks, "ok": True}
     _emit(args, payload)
     return 0

@@ -2,7 +2,8 @@
 
 Everything here is integer/rational arithmetic on top of the symbols module:
 n_gamma and m_gamma from psi mod r, the lens-space linking psi/r, and the
-S^3 linking psi/gcd(r, symbol of the primitive root), with the component count.
+S^3 linking psi/gcd(r, symbol of the primitive root), with the component count;
+the root's symbol comes from the minimal period of the reduced word.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from fractions import Fraction
 from typing import Optional
 
 from trirad.errors import DomainError, PreconditionError
-from trirad.group import Element, is_primitive, primitive_root
+from trirad.group import Element, is_primitive
 from trirad.symbols import homogeneous_Psi_h, modified_Psi_e, psi, rademacher_Psi
+from trirad.words import minimal_period
 
 # variant -> symbol; each lambda looks its function up when called, so a
 # wrapper installed on this module's binding also sees these calls
@@ -75,18 +77,22 @@ def lk_lens(el: Element, variant: str = "Psi_e") -> Fraction:
     return Fraction(_symbol_value(el, variant), el.params.r)
 
 
-def _root_symbol(el: Element, variant: str) -> int:
-    """Symbol value of the primitive root, feeding the S^3 gcd."""
+def _root_symbol(el: Element) -> int:
+    """Symbol value of the primitive root, up to sign; it only feeds the S^3 gcd.
+
+    Elliptic classes are conjugate into <S> or <U>, and the root is the
+    generator.  Otherwise x = +-rho^n up to conjugation, where the reduced word
+    of length len is n copies of its minimal period, m = len / n syllables, and
+    every variant but psi is Psi there.  The power rule Psi(+-rho^n) = n Psi(rho)
+    gives |Psi(rho)| = |Psi(x)| m / len, with no root built.
+    """
     cls = el.classify()
+    w, _ = el.cyclic_reduce()
     if cls == "elliptic":
-        # elliptic classes are conjugate into <S> or <U>; the root is the generator
-        w, _ = el.cyclic_reduce()
-        gen = w.syllables[0].gen
-        return -el.params.q if gen == "S" else -el.params.p
+        return -el.params.q if w.syllables[0].gen == "S" else -el.params.p
     if cls == "central":
         raise PreconditionError("central elements have no primitive root; S^3 linking undefined")
-    root, _ = primitive_root(el)
-    return _symbol(variant)(root)
+    return abs(rademacher_Psi(el)) * minimal_period(w.syllables) // len(w)
 
 
 def lk_s3(el: Element, variant: str = "Psi_e"):
@@ -96,7 +102,7 @@ def lk_s3(el: Element, variant: str = "Psi_e"):
     if variant == "psi":
         g = math.gcd(r, value)
     else:
-        g = math.gcd(r, _root_symbol(el, variant))
+        g = math.gcd(r, _root_symbol(el))
     if value % g:
         raise PreconditionError("symbol not divisible by the component count; S^3 linking undefined")
     return value // g, g

@@ -15,8 +15,13 @@ and whose sign is read off the word, (c) exact arithmetic for that step alone.
 that `group` runs once per element for its shadow: tier (a) when it decides
 every prefix, else exact arithmetic for all of them.  The pipelines share no
 accumulator, cached result or tier beyond (a), so comparing them checks tiers
-(b) and (c) against plain exact arithmetic.  `syllable_Psi` is a third,
-matrix-free oracle: Psi of an S...U word from its exponents.
+(b) and (c) against plain exact arithmetic.
+
+Psi is not computed from psi: `rademacher_Psi` reads it off the cyclically
+reduced word, by `syllable_Psi` (Psi of an S...U word from its exponents) or,
+for one syllable, from its seed and trace sign, with no matrix and no sign.
+The identity 2 Psi = 2 psi + pq asai (1 - trace sign) that defines Psi is left
+to `trirad verify` and the tests, where it checks the word against psi.
 """
 
 from __future__ import annotations
@@ -84,12 +89,35 @@ def psi_via_cocycle(el: Element) -> int:
 
 
 def rademacher_Psi(el: Element) -> int:
+    """Psi, read off the cached cyclically reduced word; no psi fold, no sign.
+
+    Psi := psi + pq asai (1 - trace sign) / 2 is a class function and does not
+    depend on the central sign, so it is Psi of the reduced word w, by cases:
+
+    * no syllables (+-I): Psi(I) = psi(I) = 0 (asai +1, trace sign +1), and
+      Psi(-I) = Psi(I).
+    * one syllable, w = sigma G^e with G = S (order n = p) or U (n = q),
+      0 < e < n: at sigma = 1, G^e has c = C_e > 0, so asai = 1 and psi is the
+      seed; tr G^e = +-2 cos(pi e / n) has the sign of n - 2e, so
+      Psi = seed + pq (1 - sgn(n - 2e)) / 2, i.e. seed plus pq, pq/2 or 0 as
+      2e > n, 2e = n (then n, hence pq, is even) or 2e < n.
+    * two or more syllables (hyperbolic or parabolic): w alternates and its
+      ends differ, so a rotation by one syllable, itself a conjugation, starts
+      it with S; `syllable_Psi` proves the formula for that word.
+    """
     cached = el._sym.get("Psi")
     if cached is None:
-        twice = 2 * psi(el) + el.params.p * el.params.q * el.asai() * (1 - el.trace_sign())
-        if twice % 2:
-            raise InternalInconsistencyError("Psi is not an integer")
-        cached = twice // 2
+        p, q = el.params.p, el.params.q
+        sylls = el.cyclic_reduce()[0].syllables
+        if len(sylls) == 1:
+            gen, e = sylls[0]
+            n = p if gen == "S" else q
+            cached = _seed(gen, e, p, q) + p * q * (1 - (n > 2 * e) + (n < 2 * e)) // 2
+        elif sylls:
+            i = sylls[0].gen == "U"  # rotate to start with S
+            cached = syllable_Psi(sylls[i:] + sylls[:i], p, q)
+        else:
+            cached = 0
         el._sym["Psi"] = cached
     return cached
 

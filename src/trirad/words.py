@@ -76,14 +76,36 @@ def multiply(w1: GroupWord, w2: GroupWord, p: int, q: int) -> GroupWord:
 
 
 def cyclic_reduce(w: GroupWord, p: int, q: int):
-    """Cyclically reduced form plus a conjugator g with w = g * reduced * g^-1."""
+    """Cyclically reduced form plus a conjugator g with w = g * reduced * g^-1.
+
+    One pass over the normal form, scanned from both ends.  While the end
+    syllables share a generator, the first syllable s is peeled off the front
+    and folded into the last (conjugation by s): the exponents add modulo the
+    order n, a sum of n or more wraps once (G^n = -I) and flips the sign, and a
+    sum of exactly n drops the last syllable, which exposes the next one.  The
+    syllables between the ends never change, so the reduced word is a slice of
+    the normal form plus the folded last syllable, and the conjugator is the
+    peeled prefix with sign +1 (it alternates, so it is in normal form).
+    """
     cur = normal_form(w, p, q)
-    conj = IDENTITY
-    while len(cur) >= 2 and cur.syllables[0].gen == cur.syllables[-1].gen:
-        s = GroupWord(1, (cur.syllables[0],))
-        conj = multiply(conj, s, p, q)
-        cur = multiply(multiply(s.inverse(), cur, p, q), s, p, q)
-    return cur, conj
+    sylls, sign = cur.syllables, cur.sign
+    lo, hi = 0, len(sylls)  # reduced = sylls[lo:hi-1] + (last,)
+    if hi < 2 or sylls[0].gen != sylls[-1].gen:
+        return cur, IDENTITY
+    last = sylls[-1]
+    while hi - lo >= 2 and sylls[lo].gen == last.gen:
+        gen, e = last
+        e += sylls[lo].exp
+        lo += 1
+        n = _order(gen, p, q)
+        if e >= n:
+            sign, e = -sign, e - n
+        if e:
+            last = Syllable(gen, e)
+        else:
+            hi -= 1
+            last = sylls[hi - 1]
+    return GroupWord(sign, sylls[lo : hi - 1] + (last,)), GroupWord(1, sylls[:lo])
 
 
 def minimal_period(syllables) -> int:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_element
+from conftest import PQ_LIST, random_element
 from trirad.analytic import enumerate_classes
 from trirad.errors import DomainError, PreconditionError
 from trirad.group import Element, get_params, primitive_root
@@ -19,7 +19,7 @@ from trirad.linking import (
     m_gamma,
     n_gamma,
 )
-from trirad.symbols import modified_Psi_e, psi
+from trirad.symbols import homogeneous_Psi_h, modified_Psi_e, psi, rademacher_Psi
 from trirad.words import parse_word
 
 
@@ -135,6 +135,43 @@ def test_root_symbol_feeds_gcd(P25):
     lk3, comps = lk_s3(sq, "Psi_e")
     assert comps == math.gcd(P25.r, modified_Psi_e(root))
     assert lk3 * comps == modified_Psi_e(sq)
+
+
+_VARIANT_FNS = {"Psi": rademacher_Psi, "Psi_h": homogeneous_Psi_h, "Psi_e": modified_Psi_e}
+
+
+def _root_symbol_via_primitive_root(x, variant):
+    """The reference: build the primitive root and take its symbol."""
+    if x.classify() == "elliptic":
+        w, _ = x.cyclic_reduce()
+        return -x.params.q if w.syllables[0].gen == "S" else -x.params.p
+    root, _ = primitive_root(x)
+    return _VARIANT_FNS[variant](root)
+
+
+@pytest.mark.parametrize("p,q", PQ_LIST)
+def test_root_symbol_from_the_period(p, q, rng):
+    # |Psi(root)| = |Psi(x)| m / len, against the root built by primitive_root
+    params = get_params(p, q)
+    xs = []
+    while len(xs) < 24:
+        x = random_element(params, rng, 8, min_syllables=2)
+        if x.classify() == "hyperbolic":
+            xs.append(x)
+    xs += [x**k for x in xs[:6] for k in (2, 3, -2)]
+    xs += [(x**k).conjugate(random_element(params, rng)) for x in xs[:6] for k in (2, -3)]
+    xs += [Element.translation(params, k) for k in (1, -1, 2, -3, 4)]
+    xs += [Element.translation(params, k).conjugate(random_element(params, rng)) for k in (2, -2)]
+    xs += [Element.generator(params, "S"), Element.generator(params, "U", q - 1).conjugate(random_element(params, rng))]
+    r = params.r
+    for x in xs + [-x for x in xs]:
+        hyperbolic = x.classify() == "hyperbolic"
+        for variant, fn in _VARIANT_FNS.items():
+            if variant != "Psi_e" and not hyperbolic:
+                continue  # Psi and Psi_h need a hyperbolic element
+            value = fn(x)
+            g = math.gcd(r, _root_symbol_via_primitive_root(x, variant))
+            assert lk_s3(x, variant) == (value // g, g), (x, variant)
 
 
 def test_linking_report(P25):

@@ -128,6 +128,30 @@ def test_Psi_power_rule(P23, P25):
             assert rademacher_Psi(x**n) == n * base
 
 
+def _Psi_from_psi(x):
+    """The psi-based identity 2 Psi = 2 psi + pq asai (1 - trace sign)."""
+    twice = 2 * psi(x) + x.params.p * x.params.q * x.asai() * (1 - x.trace_sign())
+    assert twice % 2 == 0, x
+    return twice // 2
+
+
+@pytest.mark.parametrize("p,q", PQ_LIST)
+def test_Psi_from_the_word_matches_psi(p, q, rng):
+    # rademacher_Psi reads the reduced word; psi folds signs over the whole word
+    params = get_params(p, q)
+    one, minus = Element.identity(params), -Element.identity(params)
+    xs = [one, minus]
+    for sigma in (one, minus):
+        xs += [sigma * Element.generator(params, "S", a) for a in range(1, p)]
+        xs += [sigma * Element.generator(params, "U", b) for b in range(1, q)]
+    for _ in range(25):
+        x = random_element(params, rng, 10)
+        xs += [x, x.conjugate(random_element(params, rng)), -x, x.inverse()]
+        xs += [x**n for n in range(-5, 6)]
+    for x in xs:
+        assert rademacher_Psi(x) == _Psi_from_psi(x), x
+
+
 def test_Phi_values(P23):
     assert dedekind_Phi(Element.translation(P23)) == 1
     assert dedekind_Phi(el(P23, "S")) == 0  # q(p-2)/2 at p = 2

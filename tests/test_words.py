@@ -1,11 +1,13 @@
 """Normal forms, cyclic reduction and the word grammar."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import PQ_LIST
 from trirad.errors import ParseError
 from trirad.words import (
     IDENTITY,
@@ -81,6 +83,61 @@ def test_cyclic_reduce_is_conjugation(seed):
     # idempotence
     red2, conj2 = cyclic_reduce(red, p, q)
     assert red2 == red and conj2 == IDENTITY
+
+
+def _cyclic_reduce_by_conjugation(w, p, q):
+    """The quadratic reference: conjugate by the first syllable while the ends share a generator."""
+    cur = normal_form(w, p, q)
+    conj = IDENTITY
+    while len(cur) >= 2 and cur.syllables[0].gen == cur.syllables[-1].gen:
+        s = GroupWord(1, (cur.syllables[0],))
+        conj = multiply(conj, s, p, q)
+        cur = multiply(multiply(s.inverse(), cur, p, q), s, p, q)
+    return cur, conj
+
+
+def _alternating(p, q, rng, n, first=None):
+    gen, sylls = first or rng.choice("SU"), []
+    for _ in range(n):
+        sylls.append(Syllable(gen, rng.randint(1, (p if gen == "S" else q) - 1)))
+        gen = "U" if gen == "S" else "S"
+    return GroupWord(rng.choice((1, -1)), tuple(sylls))
+
+
+@pytest.mark.parametrize("p,q", PQ_LIST)
+def test_cyclic_reduce_matches_conjugation_loop(p, q):
+    rng = random.Random(4000 + 10 * p + q)
+    us, cusp_inv = (Syllable("U", 1), Syllable("S", 1)), (Syllable("S", p - 1), Syllable("U", q - 1))
+    ws = [GroupWord(1, ()), GroupWord(-1, ())]
+    ws += [GroupWord(s, (Syllable(g, e),)) for s in (1, -1) for g, n in (("S", p), ("U", q)) for e in range(1, n)]
+    ws += [GroupWord(s, unit * k) for s in (1, -1) for unit in (us, cusp_inv) for k in (1, 2, 5)]
+    for _ in range(150):
+        ws.append(_alternating(p, q, rng, rng.randint(1, 14)))
+        # unnormalized: repeated generators and exponents past the order
+        raw = [Syllable(rng.choice("SU"), rng.randint(-2 * q, 2 * q) or 1) for _ in range(rng.randint(1, 8))]
+        ws.append(GroupWord(rng.choice((1, -1)), tuple(raw)))
+    # conjugates of all of the above, including of +-I, elliptic and cusp words
+    for w in list(ws):
+        g = _alternating(p, q, rng, rng.randint(1, 8))
+        ws.append(g.concat(w).concat(g.inverse()))
+    for w in ws:
+        assert cyclic_reduce(w, p, q) == _cyclic_reduce_by_conjugation(w, p, q), w
+
+
+def test_cyclic_reduce_is_linear():
+    # g w g^-1 with w = S...S and g = S...U does not cancel: 801 syllables
+    rng = random.Random(800)
+    w = _alternating(2, 3, rng, 701, first="S")
+    g = _alternating(2, 3, rng, 50, first="S")
+    conj = normal_form(g.concat(w).concat(g.inverse()), 2, 3)
+    assert len(conj) == 801
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.process_time()
+        red, h = cyclic_reduce(conj, 2, 3)
+        best = min(best, time.process_time() - t0)
+    assert multiply(multiply(h, red, 2, 3), h.inverse(), 2, 3) == conj
+    assert best < 0.005, best
 
 
 def test_minimal_period():
