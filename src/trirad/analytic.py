@@ -21,7 +21,6 @@ work for any (p,q); trace-bounded enumeration is (2,3)-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Tuple
 
@@ -38,8 +37,7 @@ from trirad.words import GroupWord, Syllable, render_word
 # geodesic data
 
 
-@dataclass(frozen=True)
-class GeodesicData:
+class GeodesicData(NamedTuple):
     w: float
     w_prime: float
     xi: float
@@ -231,8 +229,7 @@ def _arg_delta_reduced(z, N: int):
     return np.imag(log_delta_23(gz, N)) - 12.0 * np.angle(c * z + d)
 
 
-@dataclass(frozen=True)
-class CycleIntegralResult:
+class CycleIntegralResult(NamedTuple):
     value: float
     psi: int
     residual: float
@@ -352,8 +349,7 @@ class ClassEntry(NamedTuple):
     length: float
 
 
-@dataclass(frozen=True)
-class ClassTable:
+class ClassTable(NamedTuple):
     p: int
     q: int
     entries: Tuple[ClassEntry, ...]
@@ -461,8 +457,7 @@ def enumerate_classes_by_trace(params: GroupParams, max_trace: int, max_workers=
     return ClassTable(p=2, q=3, entries=tuple(entries))
 
 
-@dataclass(frozen=True)
-class DistributionStats:
+class DistributionStats(NamedTuple):
     count: int
     fraction: float
     reference: float

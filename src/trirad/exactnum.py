@@ -12,10 +12,9 @@ value is recognized symbolically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import NamedTuple, Union
 
 from trirad.errors import DomainError, InternalInconsistencyError
 
@@ -56,8 +55,7 @@ def _cyclotomic(m):
     return tuple(poly)
 
 
-@dataclass(frozen=True)
-class MinPoly:
+class MinPoly(NamedTuple):
     """Monic minimal polynomial of 2cos(pi/n), coefficients lowest-first."""
 
     n: int
@@ -335,8 +333,7 @@ class AlgebraicNumber:
         return " + ".join(terms) if terms else "0"
 
 
-@dataclass(frozen=True)
-class SignCertificate:
+class SignCertificate(NamedTuple):
     value: int  # -1, 0, +1
     precision_bits: int
 

@@ -35,8 +35,8 @@ every (p,q) with exact signs only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from trirad import exactnum, words
 from trirad.errors import DomainError, InternalInconsistencyError, NotInGroupError, NumericError
@@ -44,8 +44,7 @@ from trirad.exactnum import AlgebraicNumber, chebyshev_C_2x, sign
 from trirad.words import GroupWord, Syllable, cyclic_reduce, minimal_period, multiply, normal_form
 
 
-@dataclass(frozen=True)
-class Matrix2:
+class Matrix2(NamedTuple):
     a: AlgebraicNumber
     b: AlgebraicNumber
     c: AlgebraicNumber
@@ -61,6 +60,9 @@ class Matrix2:
 
     def __neg__(self):
         return Matrix2(-self.a, -self.b, -self.c, -self.d)
+
+    # a tuple's + and int * would concatenate or repeat the entries; None makes them raise TypeError
+    __add__ = __rmul__ = None
 
     def inverse(self) -> "Matrix2":
         # adjugate; valid since det = 1
@@ -262,7 +264,13 @@ class Element:
         return Element(self.params, self.word.inverse())
 
     def __neg__(self):
-        return Element(self.params, GroupWord(-self.word.sign, self.word.syllables), _normalized=True)
+        """-self; a cached cyclic reduction carries over, since -(g c g^-1) = g (-c) g^-1."""
+        neg = Element(self.params, GroupWord(-self.word.sign, self.word.syllables), _normalized=True)
+        cached = self._sym.get("cyclic")
+        if cached is not None:
+            core, g = cached
+            neg._sym["cyclic"] = (GroupWord(-core.sign, core.syllables), g)
+        return neg
 
     def __pow__(self, n: int) -> "Element":
         """self^n = g c^n g^-1 from the cached cyclic reduction self = g c g^-1.
@@ -474,8 +482,7 @@ def cocycle_W_el(x: Element, y: Element, xy: Element = None) -> int:
     return w_from_signs(x.asai(), y.asai(), xy.asai())
 
 
-@dataclass(frozen=True)
-class LiftedElement:
+class LiftedElement(NamedTuple):
     el: Element
     level: int
 

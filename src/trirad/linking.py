@@ -9,9 +9,8 @@ the root's symbol comes from the minimal period of the reduced word.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from trirad.errors import DomainError, PreconditionError
 from trirad.group import Element, is_primitive
@@ -108,8 +107,7 @@ def lk_s3(el: Element, variant: str = "Psi_e"):
     return value // g, g
 
 
-@dataclass(frozen=True)
-class LinkingReport:
+class LinkingReport(NamedTuple):
     r: int
     variant: str
     psi_used: int

@@ -26,8 +26,8 @@ to `trirad verify` and the tests, where it checks the word against psi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from trirad.errors import DomainError, InternalInconsistencyError
 # not called here: bench/tracing.py wraps every module binding of `sign`, and
@@ -209,8 +209,7 @@ def phi23_formula(a: int, b: int, c: int, d: int) -> Fraction:
     return Fraction(a + d, c) - 12 * sgn_c * dedekind_sum(a, abs(c))
 
 
-@dataclass(frozen=True)
-class EpsilonCoding:
+class EpsilonCoding(NamedTuple):
     epsilons: tuple
 
     @property
@@ -235,8 +234,7 @@ def ghys_coding_23(el: Element) -> EpsilonCoding:
 # reports
 
 
-@dataclass(frozen=True)
-class SymbolReport:
+class SymbolReport(NamedTuple):
     psi: int
     Psi: int
     Phi: Fraction

@@ -9,7 +9,6 @@ free-product-with-amalgamation structure Z/2pZ *_{Z/2Z} Z/2qZ.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
 from trirad.errors import ParseError
@@ -20,8 +19,7 @@ class Syllable(NamedTuple):
     exp: int
 
 
-@dataclass(frozen=True)
-class GroupWord:
+class GroupWord(NamedTuple):
     sign: int = 1
     syllables: Tuple[Syllable, ...] = ()
 
@@ -33,7 +31,11 @@ class GroupWord:
         return GroupWord(self.sign, tuple(Syllable(g, -e) for g, e in reversed(self.syllables)))
 
     def __len__(self):
+        """The syllable count (so bool(w) is False on +-I); it breaks the tuple's _make and _replace."""
         return len(self.syllables)
+
+    # a tuple's + and * would concatenate or repeat (sign, syllables); None makes them raise TypeError
+    __add__ = __mul__ = __rmul__ = None
 
 
 IDENTITY = GroupWord()

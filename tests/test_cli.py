@@ -204,6 +204,15 @@ def test_cli_import_leaves_out_numpy_and_scipy():
     assert res.returncode == 0 and res.stdout.strip() == "[]", res.stdout + res.stderr
 
 
+@pytest.mark.parametrize("module", ["trirad.cli", "trirad"])
+def test_import_leaves_out_dataclasses_and_inspect(module):
+    # together they cost about 20 ms of CPU in a one-shot command; the records are NamedTuples
+    res = run_python("-c", f"import sys, {module}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))")
+    assert res.returncode == 0 and res.stdout.strip() == "[]", res.stdout + res.stderr
+    sources = sorted(Path(trirad.__file__).parent.glob("*.py"))
+    assert [f.name for f in sources if "dataclass" in f.read_text()] == []
+
+
 def test_verify_command_and_determinism(capsys):
     code, d1 = run_json(capsys, "verify", "--pq", "3,4", "--count", "40")
     assert code == 0

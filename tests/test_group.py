@@ -633,3 +633,25 @@ def test_word_matrix_homomorphism(seed):
     assert (x * y).matrix == x.matrix * y.matrix
     assert x.inverse().matrix == x.matrix.inverse()
     assert word_to_matrix(x.word, params) == x.matrix
+
+
+@pytest.mark.parametrize("p,q", PQ_LIST)
+def test_negation_carries_the_cyclic_reduction(p, q, rng, monkeypatch):
+    params = get_params(p, q)
+    S, U = Element.generator(params, "S"), Element.generator(params, "U")
+    xs = [random_element(params, rng, 8) for _ in range(8)]
+    xs += [x.conjugate(random_element(params, rng, 5)) for x in xs[:4]]
+    xs += [Element.generator(params, "S", p - 1), U.conjugate(S * U), Element.generator(params, "U", q - 1)]
+    xs += [Element.translation(params, k).conjugate(S) for k in (1, -2, 3)] + [Element.translation(params, -1)]
+    xs += [Element.identity(params), -Element.identity(params)]
+    assert {x.classify() for x in xs} == {"central", "elliptic", "parabolic", "hyperbolic"}
+    reduced = []
+    real = group.cyclic_reduce
+    monkeypatch.setattr(group, "cyclic_reduce", lambda w, p, q: reduced.append(w) or real(w, p, q))
+    for x in xs:
+        expected = Element(params, (-x).word).cyclic_reduce()
+        assert (-Element(params, x.word)).cyclic_reduce() == expected  # nothing cached to carry
+        reduced.clear()
+        neg = -x  # classify cached x's reduction
+        assert neg.cyclic_reduce() == expected and not reduced, x
+        assert neg.classify() == x.classify() and (-neg).cyclic_reduce() == x.cyclic_reduce()
