@@ -10,10 +10,10 @@ and log Delta come from their values there through their modular laws, so the
 series' argument has Im >= sqrt(3)/2 whatever the geodesic, and the q-series
 is cut at the N terms where e^(-2 pi N sqrt(3)/2) <= tol/1000 (plus 10): 13
 terms at tol 1e-6, 14 at 1e-8, not a count set by the least Im z on the
-geodesic.  The cycle integral of E2 is a Gauss-Legendre sum in t of order 16,
-32, ..., 1024: it returns the first order-2n sum within tol/20 of the order-n
-sum (the error estimate; the analytic integrand makes the order-2n error far
-smaller), and raises NumericError when even orders 512 and 1024 differ by more.
+geodesic.  E2*(z) dz is invariant under the class, so the cycle integral is a
+trapezoid sum in t on n = 64, 128, ..., 2048 intervals of a periodic analytic
+integrand, each doubling on the new midpoints only; it returns the first
+n-sum within tol/20 of the n/2-sum, and raises NumericError past 2048.
 Syllable-bounded class enumeration and the arctan distribution statistics
 work for any (p,q); trace-bounded enumeration is (2,3)-only.
 """
@@ -94,29 +94,21 @@ def _geodesic_data(el: Element) -> GeodesicData:
     return GeodesicData(w=w, w_prime=w_prime, xi=xi, M=M, length=2.0 * math.log(xi))
 
 
-def _geodesic_path_23(el: Element):
-    """xi and the path t -> (z(t), z'(t)) of one period t in [-log xi / 2, log xi / 2].
+def _geodesic_path_23(gd: GeodesicData, t):
+    """(z(t), i e^(2t)) on the axis of el, gd = `_geodesic_data(el)`, for t in [-log xi / 2, log xi / 2].
 
     z(t) = (w i e^(2t) + w')/(i e^(2t) + 1) runs along the axis of el from
     z_0 = z(-log xi / 2) to el(z_0) = z(log xi / 2).  The period is centred on
     the top M i = z(0), so its least Im z, at both ends, is (w - w') xi /
-    (1 + xi^2), about (w - w')/xi; a period starting at M i would reach down
-    to about (w - w')/xi^2.  That matters because the nodes are floats: a
-    node's real part is only good to an ulp of |z|, which is eps |z| / Im z
-    in hyperbolic distance, so the integrands carry a relative error of about
-    eps |w| xi / (w - w') at the ends (`_reduce_23`).  The series are
-    evaluated on the nodes' images in the fundamental domain, so their cost
-    does not depend on Im z.  el must have passed `_check_23`.
+    (1 + xi^2), about (w - w')/xi, not the (w - w')/xi^2 of a period starting
+    at M i.  That matters because the nodes are floats: a node's real part is
+    only good to an ulp of |z|, which is eps |z| / Im z in hyperbolic
+    distance, so the integrands carry a relative error of about
+    eps |w| xi / (w - w') at the ends (`_reduce_23`).  el must have passed
+    `_check_23`.
     """
-    gd = _geodesic_data(el)
-    w, wp, xi = gd.w, gd.w_prime, gd.xi
-    span = w - wp
-
-    def path(t):
-        iy = 1j * np.exp(2.0 * t)
-        return (w * iy + wp) / (iy + 1.0), 2.0 * iy * span / (iy + 1.0) ** 2
-
-    return xi, path
+    iy = 1j * np.exp(2.0 * t)
+    return (gd.w * iy + gd.w_prime) / (iy + 1.0), iy
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +148,7 @@ def eisenstein_E2(z: complex, N: int = 200) -> complex:
 
 def _truncation_for(tol: float) -> int:
     """Terms N with e^(-2 pi N Im z) <= tol/1000 on the fundamental domain (Im z >= sqrt(3)/2), plus 10."""
-    return int(math.log(1e3 / tol) / (math.pi * math.sqrt(3.0))) + 10
+    return max(int((math.log(1e3) - math.log(tol)) / (math.pi * math.sqrt(3.0))), 0) + 10
 
 
 # `_reduce_23` inverts a node when |z| < 1 - 2^-51, so the rounding of the
@@ -220,13 +212,15 @@ def _e2_reduced(z, N: int):
     """E2(z) = [E2(gz) + (6i/pi) c j] / j^2, j = cz + d: the weight-2 law, series taken at gz."""
     gz, c, d = _reduce_23(z)
     j = c * z + d
-    return (eisenstein_E2(gz, N) + (6j / math.pi) * c * j) / (j * j)
+    e2 = 1.0 - 24.0 * polyval(np.exp(2j * np.pi * gz), _sigma_tables(N)[0])
+    return (e2 + (6j / math.pi) * c * j) / (j * j)
 
 
 def _arg_delta_reduced(z, N: int):
     """Im log Delta(z) mod 2 pi, as Im log Delta(gz) - 12 arg(cz + d) (Delta(gz) = (cz + d)^12 Delta(z))."""
     gz, c, d = _reduce_23(z)
-    return np.imag(log_delta_23(gz, N)) - 12.0 * np.angle(c * z + d)
+    series = polyval(np.exp(2j * np.pi * gz), _sigma_tables(N)[1])
+    return 2.0 * np.pi * gz.real - 24.0 * series.imag - 12.0 * np.angle(c * z + d)
 
 
 class CycleIntegralResult(NamedTuple):
@@ -235,31 +229,31 @@ class CycleIntegralResult(NamedTuple):
     residual: float
 
 
-# Gauss-Legendre orders tried in turn, and their nodes and weights
-_GL_ORDERS = tuple(16 << k for k in range(7))
-_leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+# the trapezoid sum's first and largest numbers of intervals
+_FIRST_INTERVALS, _MAX_INTERVALS = 64, 2048
 
 
 def cycle_integral_23(el: Element, tol: float = 1e-6) -> CycleIntegralResult:
     """Quadrature of E2* along the closed geodesic; should return psi (r=1).
 
-    The non-holomorphic term uses the closed form: integral dz/Im z over the
-    centred period is 2 (atan xi - atan(1/xi)).  Only E2 is integrated
-    numerically, at each node through E2's law from the node's image in the
-    fundamental domain (`_e2_reduced`), with the N = `_truncation_for(tol)`
-    terms that suffice there.
+    f(t) = E2*(z(t)) z'(t) on the centred period [-L/2, L/2], L = log xi, takes
+    E2 from each node's image in the fundamental domain (`_e2_reduced`, N =
+    `_truncation_for(tol)` terms).  f is L-periodic (el z(t) = z(t + L), and
+    E2*(z) dz is invariant) and analytic for |Im t| < pi/4, where z(t) stays in
+    H, so the trapezoid sum T_n on n intervals errs by O(e^(-pi^2 n / (2L)))
+    (Trefethen and Weideman, SIAM Rev. 56, 2014).  T_n is returned once
+    |T_n - T_(n/2)| <= tol/20, T_(n/2) from every other node; NumericError past
+    _MAX_INTERVALS intervals, DomainError unless tol is finite and > 0.
 
     Length domain, at the default tol: every primitive class of at most 80
-    syllables.  The integrand is a smooth function of t whatever the class
-    (E2* dz is invariant), so the Gauss-Legendre order needed grows only with
-    the period; what grows with the class is the float error at the ends of
-    the period, about eps xi |w| / (w - w') (`_geodesic_path_23`).  An
-    80-syllable class is a word of 40 letters L, R with |trace| at most the
-    Lucas number L_40 = 2.3e8, and (L R)^20 L (82 syllables, trace 3.3e8)
-    still gives a residual of 3e-8.  Past xi of about 1e10 the orders stop
-    agreeing to tol/20 and NumericError is raised: 7 of 8 random classes of
-    120 syllables, all of 160.  Splitting the period into one piece per
-    rotation of the word, so that no node goes low, is the fix.
+    syllables.  n grows only with the period; what grows with the class is the
+    float error at the ends of the period, about eps xi |w| / (w - w')
+    (`_geodesic_path_23`).  An 80-syllable class is a word of 40 letters L, R
+    with |trace| at most the Lucas number L_40 = 2.3e8, and (L R)^20 L (82
+    syllables, trace 3.3e8) still gives a residual of 4e-8.  Past xi of about
+    1e10 the sums stop agreeing to tol/20 and NumericError is raised: 6 of 8
+    random classes of 120 syllables, all of 160.  Splitting the period into
+    one piece per rotation of the word, so that no node goes low, is the fix.
 
     psi is read off the word, with no exact arithmetic: Psi is a class
     invariant and does not depend on the central sign, so it is
@@ -267,42 +261,41 @@ def cycle_integral_23(el: Element, tol: float = 1e-6) -> CycleIntegralResult:
     in `symbols.rademacher_Psi`; and the defining relation
     2 Psi = 2 psi + pq asai (1 - trace sign) gives psi = Psi at tr > 2.
     """
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tol must be finite and > 0")
     _check_23(el, "cycle_integral_23", primitive=True)
-    xi, path = _geodesic_path_23(el)
+    gd = _geodesic_data(el)
     N = _truncation_for(tol)
-    half = 0.5 * math.log(xi)
+    span, period = gd.w - gd.w_prime, math.log(gd.xi)
 
-    def gauss(n):
-        x, wts = _leggauss(n)
-        z, dz = path(half * x)
-        return half * np.sum(wts * _e2_reduced(z, N) * dz)
+    def f(t):
+        z, iy = _geodesic_path_23(gd, t)
+        return (_e2_reduced(z, N) - 3.0 / (math.pi * z.imag)) * (2.0 * iy * span / (iy + 1.0) ** 2)
 
-    coarse = gauss(_GL_ORDERS[0])
-    for n in _GL_ORDERS[1:]:
-        fine = gauss(n)
-        if abs(fine - coarse) <= tol / 20:
-            break
-        coarse = fine
-    else:
-        raise NumericError("quadrature did not converge within the requested tolerance")
-    # integral of dz/Im z over the period: 2 (atan xi - atan(1/xi))
-    total = complex(fine) - (6.0 / math.pi) * (math.atan(xi) - math.atan(1.0 / xi))
+    n, h = _FIRST_INTERVALS, period / _FIRST_INTERVALS
+    fs = f(h * np.arange(n + 1) - 0.5 * period)
+    fs[[0, -1]] *= 0.5
+    coarse, total = 2.0 * h * np.sum(fs[::2]), np.sum(fs)
+    while abs(h * total - coarse) > tol / 20:
+        if n >= _MAX_INTERVALS:
+            raise NumericError("quadrature did not converge within the requested tolerance")
+        coarse = h * total
+        total += np.sum(f(h * (np.arange(n) + 0.5) - 0.5 * period))
+        n, h = 2 * n, 0.5 * h
+    total = complex(h * total)
     if abs(total.imag) > 100 * tol:
         raise NumericError("cycle integral has a non-negligible imaginary part")
-    value = total.real
-    # a hyperbolic reduced word alternates S and U, so one rotation starts it with S
+    # a hyperbolic reduced word alternates S and U, so one rotation by k starts it with S
     sylls = el.cyclic_reduce()[0].syllables
-    if sylls[0].gen == "U":
-        sylls = sylls[1:] + sylls[:1]
-    psi_ = syllable_Psi(sylls, 2, 3)
-    return CycleIntegralResult(value=value, psi=psi_, residual=abs(value - psi_))
+    k = sylls[0].gen == "U"
+    psi_ = syllable_Psi(sylls[k:] + sylls[:k], 2, 3)
+    return CycleIntegralResult(value=total.real, psi=psi_, residual=abs(total.real - psi_))
 
 
 def winding_number_23(el: Element, samples: Optional[int] = None) -> int:
     """Winding index of j(g,i)^(-12) Delta(g i) along the geodesic-flow loop."""
     _check_23(el, "winding_number_23", primitive=True)
-    winding, _ = _winding_residual_23(el, samples)
-    return winding
+    return _winding_residual_23(el, samples)[0]
 
 
 def winding_residual_23(el: Element, samples: Optional[int] = None):
@@ -310,24 +303,27 @@ def winding_residual_23(el: Element, samples: Optional[int] = None):
 
     The phase of Delta at each sample comes from the sample's image in the
     fundamental domain (`_arg_delta_reduced`) and is right only modulo 2 pi;
-    the wrapped differences below absorb that.
+    the wrapped differences below absorb that.  An explicit samples must be an
+    int >= 3 (DomainError): the step test needs an interior sample.
     """
     _check_23(el, "winding_residual_23")
     return _winding_residual_23(el, samples)
 
 
 def _winding_residual_23(el: Element, samples: Optional[int]):
-    xi, path = _geodesic_path_23(el)
+    if samples is not None and not (isinstance(samples, (int, np.integer)) and samples >= 3):
+        raise DomainError("samples must be an int >= 3")
+    gd = _geodesic_data(el)
     N = _truncation_for(1e-8)
-    n_samples = samples or 1024
+    n_samples = 1024 if samples is None else samples
     while True:
-        t = np.linspace(-0.5, 0.5, n_samples) * math.log(xi)
-        # j(g_t, i) = (e^t i + e^-t)/sqrt(span); constant |.| factors do not move the phase
-        logj = np.log(np.exp(t) * 1j + np.exp(-t))
-        ph = _arg_delta_reduced(path(t)[0], N) - 12.0 * np.imag(logj)
+        t = np.linspace(-0.5, 0.5, n_samples) * math.log(gd.xi)
+        z, iy = _geodesic_path_23(gd, t)
+        # j(g_t, i) = (e^t i + e^-t)/sqrt(span), of phase arctan(e^(2t)); constant |.| factors do not move it
+        ph = _arg_delta_reduced(z, N) - 12.0 * np.arctan(iy.imag)
         # unwrap: each step should already be small
         wrapped = (np.diff(ph) + np.pi) % (2 * np.pi) - np.pi
-        if not (len(wrapped) and np.max(np.abs(wrapped)) >= np.pi * 0.5):
+        if np.max(np.abs(wrapped)) < np.pi * 0.5:
             turns = float(np.sum(wrapped)) / (2 * np.pi)
             return round(turns), abs(turns - round(turns))
         if samples is not None or n_samples >= (1 << 18):
@@ -465,20 +461,22 @@ class DistributionStats(NamedTuple):
 
 
 def distribution_stats(table: ClassTable, a: float, b: float) -> DistributionStats:
-    """Empirical fraction of classes with a <= Psi/l <= b vs the arctan law."""
+    """Empirical fraction of classes with a <= Psi/l <= b vs the arctan law, and the KS distance, in one pass."""
     if not table.entries:
         raise DomainError("empty class table")
     pq = table.p * table.q
-    ratios = sorted(e.Psi / e.length for e in table.entries)
+    ratios = sorted([e.Psi / e.length for e in table.entries])
     n = len(ratios)
-    fraction = sum(1 for x in ratios if a <= x <= b) / n
-
-    def ref_cdf(x):
-        return 0.5 + math.atan(2 * math.pi * x / pq) / math.pi
-
-    reference = (math.atan(2 * math.pi * b / pq) - math.atan(2 * math.pi * a / pq)) / math.pi
-    ks = 0.0
+    atan, pi = math.atan, math.pi
+    reference = (atan(2 * pi * b / pq) - atan(2 * pi * a / pq)) / pi
+    inside, ks = 0, 0.0
     for i, x in enumerate(ratios):
-        fx = ref_cdf(x)
-        ks = max(ks, abs((i + 1) / n - fx), abs(i / n - fx))
-    return DistributionStats(count=n, fraction=fraction, reference=reference, ks_distance=ks)
+        if a <= x <= b:
+            inside += 1
+        fx = 0.5 + atan(2 * pi * x / pq) / pi  # the law's CDF, against the empirical one each side of x
+        lo, hi = abs(i / n - fx), abs((i + 1) / n - fx)
+        if hi > ks:
+            ks = hi
+        if lo > ks:
+            ks = lo
+    return DistributionStats(count=n, fraction=inside / n, reference=reference, ks_distance=ks)

@@ -20,6 +20,7 @@ from trirad.analytic import (
     GeodesicData,
     _arg_delta_reduced,
     _e2_reduced,
+    _geodesic_path_23,
     _reduce_23,
     _truncation_for,
     cycle_integral_23,
@@ -160,9 +161,25 @@ def test_winding_residual_preconditions(P23):
 
 
 def test_cycle_integral_order_cap(P23):
-    # no Gauss-Legendre order reaches 1e-30 in double precision
+    # no trapezoid sum of up to 2048 intervals reaches 1e-30 in double precision
     with pytest.raises(NumericError):
         cycle_integral_23(el(P23, "U * S * U^2 * S"), tol=1e-30)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_cycle_integral_rejects_an_invalid_tol(P23, tol):
+    with pytest.raises(DomainError):
+        cycle_integral_23(el(P23, "U * S * U^2 * S"), tol=tol)
+
+
+def test_cycle_integral_extreme_tols(P23):
+    x = el(P23, "- U * S * U^2 * S * U^2 * S")
+    # a subnormal tol sizes the series without overflow, and no sum reaches it
+    with pytest.raises(NumericError):
+        cycle_integral_23(x, tol=1e-320)
+    # a huge one still takes the 10 extra terms
+    assert _truncation_for(1e300) == 10
+    assert cycle_integral_23(x, tol=1e300).psi == -1
 
 
 def _oriented(x):
@@ -363,6 +380,15 @@ def test_winding_examples(P23):
     assert residual < 0.01
 
 
+@pytest.mark.parametrize("samples", [0, 1, 2, -5, 3.0])
+def test_winding_rejects_too_few_samples(P23, samples):
+    y = el(P23, "- U * S * U^2 * S * U^2 * S")
+    with pytest.raises(DomainError):
+        winding_number_23(y, samples=samples)
+    with pytest.raises(DomainError):
+        winding_residual_23(y, samples=samples)
+
+
 def test_winding_explicit_undersampling(P23):
     y = el(P23, "- U * S * U^2 * S * U^2 * S")
     with pytest.raises(NumericError):
@@ -527,3 +553,118 @@ def test_distribution_stats(P23):
     assert 0.0 <= st.ks_distance <= 1.0
     with pytest.raises(DomainError):
         distribution_stats(ClassTable(2, 3, ()), 0, 1)
+
+
+def _old_distribution_stats(table, a, b):
+    """distribution_stats as it was written before its one-pass loop: the reference for its bits."""
+    pq = table.p * table.q
+    ratios = sorted(e.Psi / e.length for e in table.entries)
+    n = len(ratios)
+    fraction = sum(1 for x in ratios if a <= x <= b) / n
+
+    def ref_cdf(x):
+        return 0.5 + math.atan(2 * math.pi * x / pq) / math.pi
+
+    reference = (math.atan(2 * math.pi * b / pq) - math.atan(2 * math.pi * a / pq)) / math.pi
+    ks = 0.0
+    for i, x in enumerate(ratios):
+        fx = ref_cdf(x)
+        ks = max(ks, abs((i + 1) / n - fx), abs(i / n - fx))
+    return (n, fraction, reference, ks)
+
+
+def test_distribution_stats_is_bit_identical_to_the_two_pass_sum(P23):
+    table = enumerate_classes_by_trace(P23, 300)
+    for a, b in [(-1, 1), (-math.inf, math.inf), (0.0, math.inf), (-0.3, 0.05), (0.4, 0.1), (2.0, 3.0)]:
+        got = distribution_stats(table, a, b)
+        assert [v.hex() if isinstance(v, float) else v for v in got] == [
+            v.hex() if isinstance(v, float) else v for v in _old_distribution_stats(table, a, b)
+        ], (a, b)
+
+
+# ---------------------------------------------------------------------------
+# the periodic trapezoid rule against the Gauss-Legendre sum it replaced
+
+
+def _gauss_legendre_cycle_integral(x, order=256):
+    """The cycle integral as a Gauss-Legendre sum of E2(z) z' over the centred period, plus the closed form
+    of the non-holomorphic term: the integral of dz/Im z over the period is 2 (atan xi - atan(1/xi))."""
+    gd = geodesic_data(x)
+    half = 0.5 * math.log(gd.xi)
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    iy = 1j * np.exp(2.0 * half * nodes)
+    z = (gd.w * iy + gd.w_prime) / (iy + 1.0)
+    dz = 2.0 * iy * (gd.w - gd.w_prime) / (iy + 1.0) ** 2
+    e2 = half * np.sum(weights * _e2_reduced(z, _truncation_for(1e-6)) * dz)
+    return (complex(e2) - (6.0 / math.pi) * (math.atan(gd.xi) - math.atan(1.0 / gd.xi))).real
+
+
+def _round_classes(P23):
+    """The 21 classes of at most 12 syllables in the trace-100 table, oriented."""
+    rows = [e for e in enumerate_classes_by_trace(P23, 100).entries if len(e.word) <= 12]
+    assert len(rows) == 21
+    return [_oriented(Element(P23, e.word, _normalized=True)) for e in rows]
+
+
+def test_trapezoid_rule_matches_the_gauss_legendre_sum(P23):
+    reps = [_oriented(Element(P23, entry.word, _normalized=True)) for entry in enumerate_classes(P23, 16).entries]
+    assert len(reps) == 69
+    for x in reps + _round_classes(P23):
+        assert abs(cycle_integral_23(x).value - _gauss_legendre_cycle_integral(x)) <= 1e-12, x
+
+
+def test_round_classes_take_one_reduction_and_no_gauss_legendre_table(P23):
+    xs = _round_classes(P23)
+    # a profile hook sees every call of these functions, however a caller holds them
+    spied = {_reduce_23.__code__: "reduce", np.polynomial.legendre.leggauss.__code__: "leggauss"}
+    calls = []
+
+    def spy(frame, event, _):
+        if event == "call" and frame.f_code in spied:
+            calls.append(spied[frame.f_code])
+
+    before = sys.getprofile()
+    try:
+        for x in xs:
+            calls.clear()
+            sys.setprofile(spy)
+            cycle_integral_23(x)
+            sys.setprofile(before)
+            assert calls == ["reduce"], (x, calls)
+    finally:
+        sys.setprofile(before)
+
+
+def test_integrand_is_periodic_on_long_classes(P23):
+    rng = random.Random(2120)
+    N = _truncation_for(1e-6)
+    for n in range(20, 52, 2):
+        for _ in range(3):
+            gd = geodesic_data(_random_primitive_23(P23, rng, n))
+            half = 0.5 * math.log(gd.xi)
+            z, iy = _geodesic_path_23(gd, np.array([-half, half]))
+            dz = 2.0 * iy * (gd.w - gd.w_prime) / (iy + 1.0) ** 2
+            f = (_e2_reduced(z, N) - 3.0 / (math.pi * z.imag)) * dz
+            assert abs(f[0] - f[1]) <= 1e-9 * abs(f[1]), (n, f)
+
+
+def _complex_log_winding(x):
+    """The winding as summed before the phase-only series: Im of the whole log Delta, arg j(g,i) from a complex log."""
+    gd = geodesic_data(x)
+    t = np.linspace(-0.5, 0.5, 1024) * math.log(gd.xi)
+    z, _ = _geodesic_path_23(gd, t)
+    gz, c, d = _reduce_23(z)
+    ph = np.imag(log_delta_23(gz, _truncation_for(1e-8))) - 12.0 * np.angle(c * z + d)
+    ph -= 12.0 * np.imag(np.log(np.exp(t) * 1j + np.exp(-t)))
+    wrapped = (np.diff(ph) + np.pi) % (2 * np.pi) - np.pi
+    assert np.max(np.abs(wrapped)) < np.pi / 2
+    turns = float(np.sum(wrapped)) / (2 * np.pi)
+    return round(turns), abs(turns - round(turns))
+
+
+def test_phase_only_winding_matches_the_complex_log(P23):
+    reps = [_oriented(Element(P23, entry.word, _normalized=True)) for entry in enumerate_classes(P23, 16).entries]
+    for x in reps + _round_classes(P23):
+        winding, residual = winding_residual_23(x)
+        old_winding, old_residual = _complex_log_winding(x)
+        assert winding == old_winding and abs(residual - old_residual) <= 1e-12, x

@@ -187,6 +187,12 @@ def test_numeric_check_failure_exits_6(capsys, monkeypatch):
     assert json.loads(out.splitlines()[-1])["error"] == "NumericError"
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_numeric_check_invalid_tol_exits_4(capsys, tol):
+    code, d = run_json(capsys, "numeric-check", "--pq", "2,3", "--max-syllables", "6", f"--tol={tol}")
+    assert code == 4 and d["error"] == "DomainError"
+
+
 def test_verify_failure_exits_9_under_optimize():
     # checks must not be asserts, which python -O strips
     broken = (
