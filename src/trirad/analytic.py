@@ -29,7 +29,7 @@ from numpy.polynomial.polynomial import polyval
 
 from trirad.errors import DomainError, NumericError, PreconditionError
 from trirad.group import Element, GroupParams, is_primitive
-from trirad.symbols import syllable_Psi
+from trirad.symbols import rademacher_Psi, syllable_Psi
 from trirad.words import GroupWord, Syllable, render_word
 
 
@@ -255,11 +255,9 @@ def cycle_integral_23(el: Element, tol: float = 1e-6) -> CycleIntegralResult:
     random classes of 120 syllables, all of 160.  Splitting the period into
     one piece per rotation of the word, so that no node goes low, is the fix.
 
-    psi is read off the word, with no exact arithmetic: Psi is a class
-    invariant and does not depend on the central sign, so it is
-    `syllable_Psi` of the cyclically reduced word rotated to start with S, as
-    in `symbols.rademacher_Psi`; and the defining relation
-    2 Psi = 2 psi + pq asai (1 - trace sign) gives psi = Psi at tr > 2.
+    psi is read off the word, with no exact arithmetic: the defining relation
+    2 Psi = 2 psi + pq asai (1 - trace sign) gives psi = Psi at tr > 2, and
+    `symbols.rademacher_Psi` reads Psi off the cyclically reduced word.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError("tol must be finite and > 0")
@@ -285,10 +283,7 @@ def cycle_integral_23(el: Element, tol: float = 1e-6) -> CycleIntegralResult:
     total = complex(h * total)
     if abs(total.imag) > 100 * tol:
         raise NumericError("cycle integral has a non-negligible imaginary part")
-    # a hyperbolic reduced word alternates S and U, so one rotation by k starts it with S
-    sylls = el.cyclic_reduce()[0].syllables
-    k = sylls[0].gen == "U"
-    psi_ = syllable_Psi(sylls[k:] + sylls[:k], 2, 3)
+    psi_ = rademacher_Psi(el)
     return CycleIntegralResult(value=total.real, psi=psi_, residual=abs(total.real - psi_))
 
 
@@ -464,6 +459,8 @@ def distribution_stats(table: ClassTable, a: float, b: float) -> DistributionSta
     """Empirical fraction of classes with a <= Psi/l <= b vs the arctan law, and the KS distance, in one pass."""
     if not table.entries:
         raise DomainError("empty class table")
+    if math.isnan(a) or math.isnan(b):
+        raise DomainError("the bounds a and b must not be NaN")
     pq = table.p * table.q
     ratios = sorted([e.Psi / e.length for e in table.entries])
     n = len(ratios)

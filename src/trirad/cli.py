@@ -185,12 +185,14 @@ def cmd_stats(args):
     from trirad import analytic
 
     params = _parse_pq(args.pq)
-    if args.max_trace:
+    a = -math.inf if args.a is None else args.a
+    b = math.inf if args.b is None else args.b
+    if a > b:
+        raise DomainError(f"--a {args.a} is above --b {args.b}")
+    if args.max_trace is not None:
         table = analytic.enumerate_classes_by_trace(params, args.max_trace)
     else:
         table = analytic.enumerate_classes(params, args.max_syllables)
-    a = -math.inf if args.a is None else args.a
-    b = math.inf if args.b is None else args.b
     st = analytic.distribution_stats(table, a, b)
     payload = {
         "pq": [params.p, params.q],
@@ -261,7 +263,8 @@ def _check(checks, name, holds, x, y):
 def cmd_verify(args):
     params = _parse_pq(args.pq)
     rng = random.Random(args.seed)
-    n = args.count
+    if args.count < 1:
+        raise DomainError(f"--count must be >= 1, got {args.count}")
     checks = {
         "dual_pipeline": 0,
         "coboundary": 0,
@@ -272,7 +275,7 @@ def cmd_verify(args):
         "word_formula": 0,
     }
     pq = params.p * params.q
-    for _ in range(n):
+    for _ in range(args.count):
         x = _random_element(params, rng)
         y = _random_element(params, rng)
         xy = x * y
@@ -297,7 +300,7 @@ def cmd_verify(args):
             sylls = x.cyclic_reduce()[0].syllables
             i = sylls[0].gen == "U"  # rotate to start with S
             _check(checks, "word_formula", 2 * symbols.syllable_Psi(sylls[i:] + sylls[:i], params.p, params.q) == twice[0], x, y)
-    payload = {"pq": [params.p, params.q], "seed": args.seed, "pairs": n, "checks": checks, "ok": True}
+    payload = {"pq": [params.p, params.q], "seed": args.seed, "pairs": args.count, "checks": checks, "ok": True}
     _emit(args, payload)
     return 0
 

@@ -3,27 +3,25 @@
 Elements carry their normal-form word as the authoritative representation; the
 exact matrix (entries in Q(alpha, beta)) and a float shadow with a per-entry
 error bound are computed lazily; the float shadow equals the exact matrix up
-to a positive power of two (see `_fmul`).  An Asai sign (the sign of c, or of
-a when c = 0) is decided by the first of three tiers that can:
+to a positive power of two (see `_fmul`).
+
+`Element.asai` (the sign of c, or of a when c = 0), `Element.trace_sign` and
+`Element.classify` take no arithmetic: they read the word and its cyclic
+reduction (`symbols.syllable_Psi` proves the sign rules), and `primitive_root`
+orients and checks its root on words too.  `asai_signs`, which
+`symbols.psi_via_cocycle` consumes, takes the Asai sign of every suffix of a
+word from arithmetic instead, by the first of three tiers that can decide it:
 
 (a) the float shadow, when the entry clears its error bound by a wide margin;
 (b) the word: c = 0 exactly for the cusp words (U S)^k and (S^(p-1) U^(q-1))^k,
     because Stab(inf) = +-<T>, and their sign is read off k (`is_cusp_word`);
 (c) certified exact arithmetic on the exact matrix.
 
-`asai_signs` applies the tiers to every suffix of a word, which is what
-`symbols.psi_via_cocycle` consumes; `Element.asai` applies them to the whole
-word.  `Element.classify` needs no arithmetic at all: it reads the cyclically
-reduced word, and `primitive_root` orients and checks its root on words too.
-
-`word_to_fmat` is the one left fold of a shadow: it returns the shadow and the
-tier (a) Asai sign of every prefix, and `Element.fmat` caches both for
-`float_trace`, `asai`, `trace_sign` and `Element.prefix_signs`, so an element's
-shadow is folded once.  `prefix_signs` (read by `symbols.psi` and `trirad
-lift`) keeps two tiers for the whole word: the shadow's signs when they decide
-every prefix, else exact signs for every prefix.  That keeps `psi` apart from
-the suffix fold's tiers (b) and (c), so comparing the two psi pipelines checks
-those tiers against plain exact arithmetic.
+`word_to_fmat` is the one left fold of a shadow, with the tier (a) Asai sign of
+every prefix; `Element.fmat` caches both for `float_trace` and `prefix_signs`
+(read by `symbols.psi` and `trirad lift`), which takes the shadow's signs when
+they decide every prefix, else exact signs for every prefix, so `psi` shares
+no tier beyond (a) with `asai_signs`.
 
 `matrix_to_word` recognizes an exact matrix by the ping-pong lemma for the
 amalgam <S> *_{+-I} <U>: the sign of Re m(i) names the generator of the first
@@ -356,23 +354,21 @@ class Element:
     # -- certified predicates ------------------------------------------------
 
     def trace_sign(self) -> int:
-        t4, err, _ = self.fmat
-        s = _decided_sign(t4[0] + t4[3], err[0] + err[3])
-        if s is not None:
-            return s
-        # tr = 0 exactly when m^2 = -I, i.e. on the conjugates of S^(p/2) and
-        # U^(q/2); for odd p (or q) the exponent p/2 matches no syllable
-        p, q = self.params.p, self.params.q
-        if self.cyclic_reduce()[0].syllables in ((Syllable("S", p / 2),), (Syllable("U", q / 2),)):
-            return 0
-        return sign(self.matrix.trace).value
+        """Sign of the trace, read off the cached cyclic reduction (rule and proof: `symbols.syllable_Psi`)."""
+        core = self.cyclic_reduce()[0]
+        sylls = core.syllables
+        if len(sylls) == 1:
+            gen, e = sylls[0]
+            n = self.params.p if gen == "S" else self.params.q
+            return core.sign * ((n > 2 * e) - (n < 2 * e))
+        return core.sign * (-1) ** (len(sylls) // 2)
 
     def asai(self) -> int:
-        t4, err, _ = self.fmat
-        s = _decided_sign(t4[2], err[2])
-        if s is None:
-            s = _asai_past_floats(self.word.syllables, self.word.sign, self.params, lambda: self.matrix)
-        return s
+        """Asai sign, read off the word's shape (rule and proof: `symbols.syllable_Psi`)."""
+        sylls = self.word.syllables
+        k, odd = divmod(len(sylls), 2)
+        flip = k and not odd and sylls[0].gen == "S" and not is_cusp_word(sylls, self.params.p, self.params.q)
+        return self.word.sign * (-1) ** (k + flip)
 
     def classify(self) -> str:
         """Read off the cyclically reduced word.
@@ -422,17 +418,6 @@ def is_cusp_word(sylls, p, q) -> bool:
     return not k or (head in (_US, (Syllable("S", p - 1), Syllable("U", q - 1))) and sylls == head * k)
 
 
-def _asai_past_floats(sylls, sigma, params, exact):
-    """Asai sign of sigma * (product of sylls) when the float shadow left it open.
-
-    Tier (b): a cusp word has c = 0 and Asai sign sigma * (-1)^k.  Tier (c):
-    otherwise `exact()` supplies the exact product.
-    """
-    if is_cusp_word(sylls, params.p, params.q):
-        return sigma * (-1) ** (len(sylls) // 2)
-    return asai_sign(exact())
-
-
 def asai_signs(params: GroupParams, word: GroupWord):
     """Yield the Asai sign of each suffix si...sn of `word`, shortest first.
 
@@ -445,19 +430,19 @@ def asai_signs(params: GroupParams, word: GroupWord):
     """
     sylls = word.syllables
     fm, exact, pending = params.identity_f, params.identity_matrix, []
-
-    def exact_suffix():
-        nonlocal exact
-        for syl in pending:
-            exact = params.syllable_matrix(*syl) * exact
-        pending.clear()
-        return exact
-
     for i in range(len(sylls) - 1, -1, -1):
         fm = _fmul(params.syllable_fmat(*sylls[i]), fm)
         pending.append(sylls[i])
         s = _decided_sign(fm[0][2], fm[1][2])
-        yield s if s is not None else _asai_past_floats(sylls[i:], 1, params, exact_suffix)
+        if s is None:
+            if is_cusp_word(sylls[i:], params.p, params.q):
+                s = (-1) ** ((len(sylls) - i) // 2)
+            else:
+                for syl in pending:
+                    exact = params.syllable_matrix(*syl) * exact
+                pending.clear()
+                s = asai_sign(exact)
+        yield s
 
 
 def asai_sign(m: Matrix2) -> int:
@@ -525,8 +510,9 @@ def primitive_root(el: Element):
     m = minimal_period(w.syllables)
     n = len(w.syllables) // m
     g = Element(params, conj)
-    u = Element(params, GroupWord(1, w.syllables[:m]), _normalized=True)
-    rho = g * u * g.inverse()
+    u = GroupWord(1, w.syllables[:m])
+    rho = g * Element(params, u, _normalized=True) * g.inverse()
+    rho._sym["cyclic"] = (u, conj)  # a period of a cyclically reduced word is cyclically reduced
     if rho.trace_sign() < 0:
         rho = -rho
     if cls == "hyperbolic":

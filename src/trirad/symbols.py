@@ -15,7 +15,8 @@ and whose sign is read off the word, (c) exact arithmetic for that step alone.
 that `group` runs once per element for its shadow: tier (a) when it decides
 every prefix, else exact arithmetic for all of them.  The pipelines share no
 accumulator, cached result or tier beyond (a), so comparing them checks tiers
-(b) and (c) against plain exact arithmetic.
+(b) and (c) against plain exact arithmetic.  Every other sign is read off the
+word by `Element.asai` and `Element.trace_sign` (proof: `syllable_Psi`).
 
 Psi is not computed from psi: `rademacher_Psi` reads it off the cyclically
 reduced word, by `syllable_Psi` (Psi of an S...U word from its exponents) or,
@@ -96,11 +97,9 @@ def rademacher_Psi(el: Element) -> int:
 
     * no syllables (+-I): Psi(I) = psi(I) = 0 (asai +1, trace sign +1), and
       Psi(-I) = Psi(I).
-    * one syllable, w = sigma G^e with G = S (order n = p) or U (n = q),
-      0 < e < n: at sigma = 1, G^e has c = C_e > 0, so asai = 1 and psi is the
-      seed; tr G^e = +-2 cos(pi e / n) has the sign of n - 2e, so
-      Psi = seed + pq (1 - sgn(n - 2e)) / 2, i.e. seed plus pq, pq/2 or 0 as
-      2e > n, 2e = n (then n, hence pq, is even) or 2e < n.
+    * one syllable, w = sigma G^e, G of order n: at sigma = 1, asai = 1 (c =
+      C_e > 0), psi is the seed and the trace sign is sgn(n - 2e), so Psi is the
+      seed plus pq, pq/2 or 0 as 2e > n, 2e = n (n, hence pq, even) or 2e < n.
     * two or more syllables (hyperbolic or parabolic): w alternates and its
       ends differ, so a rotation by one syllable, itself a conjugation, starts
       it with S; `syllable_Psi` proves the formula for that word.
@@ -108,11 +107,10 @@ def rademacher_Psi(el: Element) -> int:
     cached = el._sym.get("Psi")
     if cached is None:
         p, q = el.params.p, el.params.q
-        sylls = el.cyclic_reduce()[0].syllables
-        if len(sylls) == 1:
-            gen, e = sylls[0]
-            n = p if gen == "S" else q
-            cached = _seed(gen, e, p, q) + p * q * (1 - (n > 2 * e) + (n < 2 * e)) // 2
+        core = el.cyclic_reduce()[0]
+        sylls = core.syllables
+        if len(sylls) == 1:  # core.sign * trace sign is the trace sign of G^e
+            cached = _seed(*sylls[0], p, q) + p * q * (1 - core.sign * el.trace_sign()) // 2
         elif sylls:
             i = sylls[0].gen == "U"  # rotate to start with S
             cached = syllable_Psi(sylls[i:] + sylls[:i], p, q)
@@ -127,12 +125,14 @@ def syllable_Psi(syllables, p, q) -> int:
     Psi = 1/2 sum_j [q (p - 2 a_j) + p (q - 2 b_j)] = pq k + sum of the seeds;
     at (2,3), S U^b adds 3 - 2b, so Psi = #L - #R (S U = -L^-1, S U^2 = -R^-1).
 
-    Signs: by the Chebyshev formulas (C_n > 0 for 0 < n < p, C_0 = C_p = 0),
-    -D P_j D, D = diag(1, -1), has positive diagonal, nonnegative off-diagonal,
-    and lower left C_a C'_(b+1) + C_(a+1) C'_b, 0 only on the cusp pair (p-1, q-1).
-    So P_1...P_m = (-1)^m D N D with N >= 0, N_11 > 0, and N_21 > 0 unless all
-    P_j are cusp pairs: the trace sign is sigma (-1)^k, the Asai sign -sigma (-1)^k,
-    but sigma (-1)^k (c = 0) on the cusp word (S^(p-1) U^(q-1))^k = (-1)^k T^-k.
+    Signs: by the Chebyshev formulas (C_n > 0 for 0 < n < p, C_0 = C_p = 0; C'_n
+    at q), -D P_j D, D = diag(1, -1), has positive diagonal, nonnegative off-diagonal,
+    upper right C_(a-1) C'_b + C_a C'_(b-1), 0 only on S U, and lower left
+    C_a C'_(b+1) + C_(a+1) C'_b, 0 only on the cusp pair (p-1, q-1).  So P_1...P_m
+    = (-1)^m D N D with N >= 0 and N_11, N_22 > 0, and an off-diagonal entry of N
+    is 0 only when it is 0 in every factor: the trace sign is sigma (-1)^k, the
+    Asai sign -sigma (-1)^k, but sigma (-1)^k (c = 0) on the cusp word
+    (S^(p-1) U^(q-1))^k = (-1)^k T^-k.
     Proof, sigma = 1, by induction on the coboundary fold over m: psi(P_1..P_m)
     = psi(P_1..P_m-1) + psi(P_m) + 2pq W, and psi(P_m) = -(q a_m + p b_m) + 2pq
     [cusp pair], as S^a, U^b have Asai sign +1.  By the signs above, step m adds
@@ -142,6 +142,19 @@ def syllable_Psi(syllables, p, q) -> int:
     gives the formula, and psi(-g) = psi(g) + pq asai(g) leaves Psi unchanged at
     sigma = -1.  So psi = Psi when sigma (-1)^k = 1, else Psi - pq (Psi + pq on
     the cusp word).
+
+    Any normal-form word is sigma [U^b] P_1...P_k [S^a] of n syllables.  With
+    row 2 of U^b (C'_b, -C'_(b-1)) and column 1 of S^a (-C_(a-1), C_a),
+    sigma (-1)^k c is C'_b N_11 + C'_(b-1) N_21 > 0 on U...U, N_21 C_(a-1) +
+    N_22 C_a > 0 on S...S, and on U...S -(C'_b N_11 C_(a-1) + C'_b N_12 C_a +
+    C'_(b-1) N_21 C_(a-1) + C'_(b-1) N_22 C_a), which is < 0 (C'_b, C_a, N_11,
+    N_22 > 0) unless a = b = 1 and N_12 = 0: on (U S)^(k+1) = (-T)^(k+1), where
+    a = sigma (-1)^(k+1).  So the Asai sign (`Element.asai`) is
+    sigma (-1)^(n // 2), negated when n >= 2 is even, s_1 is a power of S and
+    the word is not the cusp word.  The trace sign (`Element.trace_sign`), a
+    class function, is sigma sgn(n - 2e) on sigma G^e (tr G^e = 2 cos(pi e / n),
+    n the order of G), sigma on +-I, and on 2k cyclically reduced syllables
+    that of the rotation that starts with S.
     """
     k, odd = divmod(len(syllables), 2)
     if not k or odd or any(g != "SU"[i & 1] or not 0 < e < (p, q)[i & 1] for i, (g, e) in enumerate(syllables)):

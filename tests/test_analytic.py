@@ -553,6 +553,12 @@ def test_distribution_stats(P23):
     assert 0.0 <= st.ks_distance <= 1.0
     with pytest.raises(DomainError):
         distribution_stats(ClassTable(2, 3, ()), 0, 1)
+    for a, b in ((math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)):
+        with pytest.raises(DomainError):
+            distribution_stats(table, a, b)
+    # a > b stays accepted by the library: an empty band with a negative reference
+    st = distribution_stats(table, 1.0, -1.0)
+    assert st.fraction == 0.0 and st.reference < 0
 
 
 def _old_distribution_stats(table, a, b):

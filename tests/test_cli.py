@@ -164,6 +164,23 @@ def test_stats_command(capsys):
     assert d2["count"] > d["count"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("--max-trace", "0"), ("--max-trace", "2"), ("--a", "nan"), ("--b", "nan"), ("--a", "1", "--b", "-1")],
+)
+def test_stats_bad_bounds_exit_4(capsys, argv):
+    # --max-trace 0 used to fall back to the syllable table, NaN printed an
+    # invalid JSON reference, and a > b a negative one
+    code, d = run_json(capsys, "stats", "--pq", "2,3", *argv)
+    assert code == 4 and d["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_needs_a_positive_count(capsys, count):
+    code, d = run_json(capsys, "verify", "--pq", "2,3", "--count", count)
+    assert code == 4 and d["error"] == "DomainError"
+
+
 def test_numeric_check_command(capsys):
     code, d = run_json(capsys, "numeric-check", "--pq", "2,3", "--max-syllables", "6")
     assert code == 0

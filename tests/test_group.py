@@ -206,6 +206,85 @@ def test_cusp_tier_matches_exact_arithmetic(p, q, rng, monkeypatch):
                 assert list(asai_signs(params, w)) == expected, w
 
 
+def _cusp_biased_word(params, rng, n):
+    """A normal-form word of n syllables, sign +1, where about half the exponents
+    continue a run of (U S)^k or (S^(p-1) U^(q-1))^k, chosen once per word."""
+    low = rng.random() < 0.5  # the run of U S, else of S^(p-1) U^(q-1)
+    gen, sylls = rng.choice("SU"), []
+    for _ in range(n):
+        order = params.p if gen == "S" else params.q
+        e = (1 if low else order - 1) if rng.random() < 0.5 else rng.randint(1, order - 1)
+        sylls.append(Syllable(gen, e))
+        gen = "U" if gen == "S" else "S"
+    return GroupWord(1, tuple(sylls))
+
+
+@pytest.mark.parametrize("p,q", PQ_LIST)
+def test_word_sign_rules_match_exact_arithmetic(p, q, rng):
+    # Element.asai and trace_sign read off the word, against exact asai_sign and
+    # the exact sign of the trace on every prefix, with both central signs
+    params = get_params(p, q)
+    ws = [random_element(params, rng, 40).word for _ in range(12)]
+    ws += [_cusp_biased_word(params, rng, rng.randint(1, 40)) for _ in range(12)]
+    ws += [random_element(params, rng, 400, min_syllables=100).word, _cusp_biased_word(params, rng, 400)]
+    ws += [Element.translation(params, k).word for k in range(-12, 13)]
+    conj = [Element(params, w).conjugate(random_element(params, rng, 8)).word for w in ws[:4] + ws[-3:]]
+    halves = [Element.generator(params, g, n // 2) for g, n in (("S", p), ("U", q)) if n % 2 == 0]
+    conj += [h.conjugate(random_element(params, rng, 8)).word for h in halves for _ in range(3)]
+    for sgn in (1, -1):
+        x = Element(params, GroupWord(sgn), _normalized=True)
+        assert x.asai() == x.trace_sign() == sgn  # +-I
+    for w in ws + conj:
+        for sgn in (1, -1):
+            w = GroupWord(sgn, w.syllables)
+            for sylls, exact, _ in _partial_products(params, w, from_right=False):
+                x = Element(params, GroupWord(sgn, sylls), _normalized=True)
+                assert x.asai() == asai_sign(exact), x
+                assert x.trace_sign() == sign(exact.trace).value, x
+    # the conjugates of S^(p/2) and U^(q/2) have trace 0
+    assert all(Element(params, w).trace_sign() == 0 for w in conj[7:]) and len(conj) > 7 * bool(halves)
+
+
+@pytest.mark.parametrize("p,q", PQ_LIST)
+def test_word_sign_rules_take_no_arithmetic(p, q, rng, monkeypatch):
+    # no sign, no Asai sign of a matrix, no shadow and no exact matrix, also
+    # on 1,300 syllables; then the answers are checked against the shadow's
+    # signs (which decide them at that length) and, on short words, exact ones
+    from trirad.analytic import _check_hyperbolic_rep
+    from trirad.symbols import dedekind_Phi
+
+    params = get_params(p, q)
+    xs = [random_element(params, rng, 1300, min_syllables=1300), _cusp_biased_word(params, rng, 1300)]
+    xs = [x if isinstance(x, Element) else Element(params, x) for x in xs]
+    xs += [random_element(params, rng, 12) for _ in range(6)]
+    xs += [Element.translation(params, k) for k in (1, -1, 7)] + [Element.identity(params)]
+    xs += [x.conjugate(random_element(params, rng, 6)) for x in xs[2:5]]
+    xs += [-x for x in xs]  # the second half: -x has the opposite signs
+
+    def forbidden(*args):
+        raise AssertionError("arithmetic taken")
+
+    with monkeypatch.context() as mp:
+        for name in ("sign", "asai_sign", "word_to_fmat", "word_to_matrix"):
+            mp.setattr(group, name, forbidden)
+        got = [(x.asai(), x.trace_sign()) for x in xs]
+        for x, y in zip(xs, xs[1:]):
+            cocycle_W_el(x, y)
+            dedekind_Phi(x)
+            if x.classify() in ("hyperbolic", "parabolic"):
+                rho, _ = primitive_root(x)
+                if rho.classify() == "hyperbolic":
+                    _check_hyperbolic_rep(rho, "test")
+    half = len(xs) // 2
+    for x, (s, t), neg in zip(xs, got, got[half:]):
+        assert (s, t) == (-neg[0], -neg[1]), x
+        if len(x.word) > 100:
+            t4, err, _ = x.fmat
+            assert (s, t) == (_decided_sign(t4[2], err[2]), _decided_sign(t4[0] + t4[3], err[0] + err[3])), x
+        else:
+            assert (s, t) == (asai_sign(x.matrix), sign(x.matrix.trace).value), x
+
+
 # about the length from which a random word's float shadow, unscaled, would pass
 # 1e308 (within 4 % on 20 random words per pair)
 _FIRST_OVERFLOW = {(2, 3): 3626, (2, 5): 1726, (2, 7): 1258, (3, 4): 1387, (3, 5): 1161, (4, 5): 958, (5, 7): 730}
@@ -267,8 +346,9 @@ def _count_calls(monkeypatch, owner, name):
 
 @pytest.mark.parametrize("psi_first", [True, False])
 def test_each_element_folds_its_shadow_once(psi_first, rng, monkeypatch):
-    # psi, float_trace, asai and trace_sign share one left fold of the shadow,
-    # in either call order, also when psi takes its signs from exact arithmetic
+    # psi and float_trace share one left fold of the shadow, and asai and
+    # trace_sign take none, in either call order, also when psi takes its
+    # signs from exact arithmetic
     from trirad.symbols import psi
 
     els = [random_element(get_params(p, q), rng, 40) for p, q in PQ_LIST]
@@ -535,6 +615,21 @@ def _random_hyperbolic(params, rng, max_syllables=8):
         x = random_element(params, rng, max_syllables, min_syllables=2)
         if x.classify() == "hyperbolic":
             return x
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (3, 4), (5, 7)])
+def test_primitive_root_carries_a_valid_cyclic_reduction(p, q, rng):
+    # the root's cached reduction (x's period and conjugator) is a reduction of the root
+    from trirad.words import IDENTITY, cyclic_reduce
+
+    params = get_params(p, q)
+    xs = [_random_hyperbolic(params, rng).conjugate(random_element(params, rng)) ** k for k in (1, 3, -2)]
+    xs += [Element.translation(params, k).conjugate(random_element(params, rng)) for k in (1, -2, 3)]
+    for x in xs + [-x for x in xs]:
+        rho, _ = primitive_root(x)
+        core, g = rho.cyclic_reduce()
+        assert Element(params, g.concat(core).concat(g.inverse())) == rho, x
+        assert cyclic_reduce(core, p, q) == (core, IDENTITY), x
 
 
 @pytest.mark.parametrize("p,q", PQ_LIST)
