@@ -10,10 +10,10 @@ and log Delta come from their values there through their modular laws, so the
 series' argument has Im >= sqrt(3)/2 whatever the geodesic, and the q-series
 is cut at the N terms where e^(-2 pi N sqrt(3)/2) <= tol/1000 (plus 10): 13
 terms at tol 1e-6, 14 at 1e-8, not a count set by the least Im z on the
-geodesic.  E2*(z) dz is invariant under the class, so the cycle integral is a
-trapezoid sum in t on n = 64, 128, ..., 2048 intervals of a periodic analytic
-integrand, each doubling on the new midpoints only; it returns the first
-n-sum within tol/20 of the n/2-sum, and raises NumericError past 2048.
+geodesic.  Both checks sample the period on one ladder (`_ladder_23`): the 65
+nodes t = L (k/64 - 1/2), L = log xi, then n = 128, 256, ... intervals, each
+level taking only its new midpoints.  The first level and its reduction are
+kept with the element, so the two checks share its one `_reduce_23` call.
 Syllable-bounded class enumeration and the arctan distribution statistics
 work for any (p,q); trace-bounded enumeration is (2,3)-only.
 """
@@ -46,7 +46,7 @@ class GeodesicData(NamedTuple):
 
 
 def _check_23(el: Element, who: str, primitive: bool = False):
-    """The preconditions of the (2,3) quadrature and winding, checked once per public call."""
+    """The preconditions of the (2,3) quadrature and winding, checked by each public call."""
     if (el.params.p, el.params.q) != (2, 3):
         raise DomainError(f"{who} is implemented for (p,q) = (2,3) only")
     _check_hyperbolic_rep(el, who)
@@ -100,10 +100,9 @@ def _geodesic_path_23(gd: GeodesicData, t):
     z(t) = (w i e^(2t) + w')/(i e^(2t) + 1) runs along the axis of el from
     z_0 = z(-log xi / 2) to el(z_0) = z(log xi / 2).  The period is centred on
     the top M i = z(0), so its least Im z, at both ends, is (w - w') xi /
-    (1 + xi^2), about (w - w')/xi, not the (w - w')/xi^2 of a period starting
-    at M i.  That matters because the nodes are floats: a node's real part is
-    only good to an ulp of |z|, which is eps |z| / Im z in hyperbolic
-    distance, so the integrands carry a relative error of about
+    (1 + xi^2), about (w - w')/xi.  That matters because the nodes are floats:
+    a node's real part is only good to an ulp of |z|, which is eps |z| / Im z
+    in hyperbolic distance, so the integrands carry a relative error of about
     eps |w| xi / (w - w') at the ends (`_reduce_23`).  el must have passed
     `_check_23`.
     """
@@ -208,17 +207,17 @@ def _reduce_23(z):
     raise NumericError(f"reduction did not end within {_MAX_PASSES} passes")
 
 
-def _e2_reduced(z, N: int):
-    """E2(z) = [E2(gz) + (6i/pi) c j] / j^2, j = cz + d: the weight-2 law, series taken at gz."""
-    gz, c, d = _reduce_23(z)
+def _e2_reduced(z, N: int, reduced=None):
+    """E2(z) = [E2(gz) + (6i/pi) c j] / j^2, j = cz + d: the weight-2 law, series taken at gz = reduced or `_reduce_23(z)`."""
+    gz, c, d = _reduce_23(z) if reduced is None else reduced
     j = c * z + d
     e2 = 1.0 - 24.0 * polyval(np.exp(2j * np.pi * gz), _sigma_tables(N)[0])
     return (e2 + (6j / math.pi) * c * j) / (j * j)
 
 
-def _arg_delta_reduced(z, N: int):
-    """Im log Delta(z) mod 2 pi, as Im log Delta(gz) - 12 arg(cz + d) (Delta(gz) = (cz + d)^12 Delta(z))."""
-    gz, c, d = _reduce_23(z)
+def _arg_delta_reduced(z, N: int, reduced=None):
+    """Im log Delta(z) mod 2 pi, as Im log Delta(gz) - 12 arg(cz + d) (Delta(gz) = (cz + d)^12 Delta(z)), gz as in `_e2_reduced`."""
+    gz, c, d = _reduce_23(z) if reduced is None else reduced
     series = polyval(np.exp(2j * np.pi * gz), _sigma_tables(N)[1])
     return 2.0 * np.pi * gz.real - 24.0 * series.imag - 12.0 * np.angle(c * z + d)
 
@@ -229,8 +228,21 @@ class CycleIntegralResult(NamedTuple):
     residual: float
 
 
-# the trapezoid sum's first and largest numbers of intervals
-_FIRST_INTERVALS, _MAX_INTERVALS = 64, 2048
+def _ladder_23(el: Element, g, samples: Optional[int] = None):
+    """Yield g(gd, z, iy, `_reduce_23(z)`) on each level of the ladder (module docstring), or once on samples nodes."""
+    def level(gd, s):  # the nodes t = L (s - 1/2), L = log xi, 0 <= s <= 1
+        z, iy = _geodesic_path_23(gd, math.log(gd.xi) * (s - 0.5))
+        return gd, z, iy, _reduce_23(z)
+
+    first = el._sym.get("level_23") if samples is None else level(_geodesic_data(el), np.arange(samples) / (samples - 1))
+    if first is None:
+        first = el._sym["level_23"] = level(_geodesic_data(el), np.arange(65) / 64)
+    values = g(*first)
+    yield values
+    while samples is None:
+        n = len(values) - 1
+        values = np.insert(values, np.arange(1, n + 1), g(*level(first[0], (np.arange(n) + 0.5) / n)))
+        yield values
 
 
 def cycle_integral_23(el: Element, tol: float = 1e-6) -> CycleIntegralResult:
@@ -241,9 +253,9 @@ def cycle_integral_23(el: Element, tol: float = 1e-6) -> CycleIntegralResult:
     `_truncation_for(tol)` terms).  f is L-periodic (el z(t) = z(t + L), and
     E2*(z) dz is invariant) and analytic for |Im t| < pi/4, where z(t) stays in
     H, so the trapezoid sum T_n on n intervals errs by O(e^(-pi^2 n / (2L)))
-    (Trefethen and Weideman, SIAM Rev. 56, 2014).  T_n is returned once
-    |T_n - T_(n/2)| <= tol/20, T_(n/2) from every other node; NumericError past
-    _MAX_INTERVALS intervals, DomainError unless tol is finite and > 0.
+    (Trefethen and Weideman, SIAM Rev. 56, 2014).  T_n is returned at the first
+    level of the ladder with |T_n - T_(n/2)| <= tol/20; NumericError past 2048
+    intervals, DomainError unless tol is finite and > 0.
 
     Length domain, at the default tol: every primitive class of at most 80
     syllables.  n grows only with the period; what grows with the class is the
@@ -252,8 +264,7 @@ def cycle_integral_23(el: Element, tol: float = 1e-6) -> CycleIntegralResult:
     with |trace| at most the Lucas number L_40 = 2.3e8, and (L R)^20 L (82
     syllables, trace 3.3e8) still gives a residual of 4e-8.  Past xi of about
     1e10 the sums stop agreeing to tol/20 and NumericError is raised: 6 of 8
-    random classes of 120 syllables, all of 160.  Splitting the period into
-    one piece per rotation of the word, so that no node goes low, is the fix.
+    random classes of 120 syllables, all of 160.
 
     psi is read off the word, with no exact arithmetic: the defining relation
     2 Psi = 2 psi + pq asai (1 - trace sign) gives psi = Psi at tr > 2, and
@@ -262,25 +273,19 @@ def cycle_integral_23(el: Element, tol: float = 1e-6) -> CycleIntegralResult:
     if not 0.0 < tol < math.inf:
         raise DomainError("tol must be finite and > 0")
     _check_23(el, "cycle_integral_23", primitive=True)
-    gd = _geodesic_data(el)
     N = _truncation_for(tol)
-    span, period = gd.w - gd.w_prime, math.log(gd.xi)
 
-    def f(t):
-        z, iy = _geodesic_path_23(gd, t)
-        return (_e2_reduced(z, N) - 3.0 / (math.pi * z.imag)) * (2.0 * iy * span / (iy + 1.0) ** 2)
+    def f(gd, z, iy, reduced):  # L f(t), so that T_n is the mean of the values, ends halved
+        dz = 2.0 * iy * (gd.w - gd.w_prime) / (iy + 1.0) ** 2
+        return (_e2_reduced(z, N, reduced) - 3.0 / (math.pi * z.imag)) * dz * math.log(gd.xi)
 
-    n, h = _FIRST_INTERVALS, period / _FIRST_INTERVALS
-    fs = f(h * np.arange(n + 1) - 0.5 * period)
-    fs[[0, -1]] *= 0.5
-    coarse, total = 2.0 * h * np.sum(fs[::2]), np.sum(fs)
-    while abs(h * total - coarse) > tol / 20:
-        if n >= _MAX_INTERVALS:
+    for fs in _ladder_23(el, f):
+        # the trapezoid sums T_n on this level and T_(n/2) on every other node
+        total, coarse = (complex(np.sum(v) - 0.5 * (v[0] + v[-1])) / (len(v) - 1) for v in (fs, fs[::2]))
+        if abs(total - coarse) <= tol / 20:
+            break
+        if len(fs) > 2048:
             raise NumericError("quadrature did not converge within the requested tolerance")
-        coarse = h * total
-        total += np.sum(f(h * (np.arange(n) + 0.5) - 0.5 * period))
-        n, h = 2 * n, 0.5 * h
-    total = complex(h * total)
     if abs(total.imag) > 100 * tol:
         raise NumericError("cycle integral has a non-negligible imaginary part")
     psi_ = rademacher_Psi(el)
@@ -290,40 +295,35 @@ def cycle_integral_23(el: Element, tol: float = 1e-6) -> CycleIntegralResult:
 def winding_number_23(el: Element, samples: Optional[int] = None) -> int:
     """Winding index of j(g,i)^(-12) Delta(g i) along the geodesic-flow loop."""
     _check_23(el, "winding_number_23", primitive=True)
-    return _winding_residual_23(el, samples)[0]
+    return winding_residual_23(el, samples)[0]
 
 
 def winding_residual_23(el: Element, samples: Optional[int] = None):
     """(winding, distance of the summed turns from it) of j(g,i)^(-12) Delta(g i) over one period.
 
-    The phase of Delta at each sample comes from the sample's image in the
-    fundamental domain (`_arg_delta_reduced`) and is right only modulo 2 pi;
-    the wrapped differences below absorb that.  An explicit samples must be an
-    int >= 3 (DomainError): the step test needs an interior sample.
+    The phase of Delta at each node comes from its image in the fundamental
+    domain (`_arg_delta_reduced`) and is right only modulo 2 pi; the wrapped
+    steps between neighbours absorb that, summed at the first level of the
+    ladder where all are below pi/2 (NumericError past 2^18 intervals).  An
+    explicit samples is one level of that many nodes, an int >= 3 (DomainError).
     """
     _check_23(el, "winding_residual_23")
-    return _winding_residual_23(el, samples)
-
-
-def _winding_residual_23(el: Element, samples: Optional[int]):
     if samples is not None and not (isinstance(samples, (int, np.integer)) and samples >= 3):
         raise DomainError("samples must be an int >= 3")
-    gd = _geodesic_data(el)
     N = _truncation_for(1e-8)
-    n_samples = 1024 if samples is None else samples
-    while True:
-        t = np.linspace(-0.5, 0.5, n_samples) * math.log(gd.xi)
-        z, iy = _geodesic_path_23(gd, t)
+
+    def phase(gd, z, iy, reduced):
         # j(g_t, i) = (e^t i + e^-t)/sqrt(span), of phase arctan(e^(2t)); constant |.| factors do not move it
-        ph = _arg_delta_reduced(z, N) - 12.0 * np.arctan(iy.imag)
-        # unwrap: each step should already be small
+        return _arg_delta_reduced(z, N, reduced) - 12.0 * np.arctan(iy.imag)
+
+    for ph in _ladder_23(el, phase, samples):
         wrapped = (np.diff(ph) + np.pi) % (2 * np.pi) - np.pi
         if np.max(np.abs(wrapped)) < np.pi * 0.5:
             turns = float(np.sum(wrapped)) / (2 * np.pi)
             return round(turns), abs(turns - round(turns))
-        if samples is not None or n_samples >= (1 << 18):
-            raise NumericError("undersampled winding path: phase step >= pi")
-        n_samples *= 2
+        if len(ph) > 1 << 18:
+            break
+    raise NumericError("undersampled winding path: phase step >= pi")
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,8 @@ def cmd_stats(args):
     from trirad import analytic
 
     params = _parse_pq(args.pq)
+    if not all(math.isfinite(v) for v in (args.a, args.b) if v is not None):
+        raise DomainError("--a and --b must be finite; leave one out for an open bound")
     a = -math.inf if args.a is None else args.a
     b = math.inf if args.b is None else args.b
     if a > b:
@@ -312,7 +314,7 @@ def build_parser():
     def common(sp, word=True, matrix=True):
         sp.add_argument("--pq", required=True, help="P,Q (coprime, 2 <= P < Q)")
         if word:
-            sp.add_argument("--word", help="word expression, e.g. '- S^3 * U^-2 * S'")
+            sp.add_argument("--word", help="word expression, e.g. '- S^3 * U^-2 * S'; write --word=-I for a word starting with -")
         if matrix:
             sp.add_argument("--matrix", help="'a,b;c,d' integer matrix (2,3 only)")
         sp.add_argument("--format", choices=("json", "csv", "text"), default="json")

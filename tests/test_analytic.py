@@ -34,7 +34,7 @@ from trirad.analytic import (
     winding_residual_23,
 )
 from trirad.errors import DomainError, NumericError, PreconditionError
-from trirad.group import Element, Matrix2, get_params, is_primitive
+from trirad.group import Element, Matrix2, get_params, is_primitive, primitive_root
 from trirad.symbols import ghys_coding_23, psi, rademacher_Psi
 from trirad.words import GroupWord, Syllable, minimal_period, parse_word, render_word
 
@@ -674,3 +674,61 @@ def test_phase_only_winding_matches_the_complex_log(P23):
         winding, residual = winding_residual_23(x)
         old_winding, old_residual = _complex_log_winding(x)
         assert winding == old_winding and abs(residual - old_residual) <= 1e-12, x
+
+
+# ---------------------------------------------------------------------------
+# the winding ladder against the 1024-sample ladder it replaced
+
+
+def _winding_from_1024_samples(x):
+    """The winding as laddered before the shared first level: 1024 samples, all evaluated again at each doubling."""
+    gd = geodesic_data(x)
+    n = 1024
+    while True:
+        t = np.linspace(-0.5, 0.5, n) * math.log(gd.xi)
+        z, iy = _geodesic_path_23(gd, t)
+        ph = _arg_delta_reduced(z, _truncation_for(1e-8)) - 12.0 * np.arctan(iy.imag)
+        wrapped = (np.diff(ph) + np.pi) % (2 * np.pi) - np.pi
+        if np.max(np.abs(wrapped)) < np.pi / 2:
+            turns = float(np.sum(wrapped)) / (2 * np.pi)
+            return round(turns), abs(turns - round(turns))
+        n *= 2
+
+
+def _spy_reductions(monkeypatch):
+    """The node counts of every `_reduce_23` call from here on."""
+    sizes = []
+    reduce = trirad.analytic._reduce_23
+    monkeypatch.setattr(trirad.analytic, "_reduce_23", lambda z: sizes.append(np.size(z)) or reduce(z))
+    return sizes
+
+
+def test_winding_ladder_matches_the_1024_sample_ladder(P23, monkeypatch):
+    xs = [_oriented(Element(P23, entry.word, _normalized=True)) for entry in enumerate_classes(P23, 16).entries]
+    rng = random.Random(5)
+    xs += [_random_primitive_23(P23, rng, rng.randrange(20, 82, 2)) for _ in range(48)]
+    xs += [_alternating_23(P23, k) for k in (5, 10, 20, 26)]
+    # L^k R = (S U)^k (S U^2) takes the ladder to 129, 257 and 1025 nodes, which pins the midpoint interleave
+    xs += [_oriented(el(P23, "S * U * " * k + "S * U^2")) for k in (8, 16, 40)]
+    sizes = _spy_reductions(monkeypatch)
+    nodes = []
+    for x in xs:
+        sizes.clear()
+        winding, residual = winding_residual_23(x)
+        nodes.append(sum(sizes))
+        old_winding, old_residual = _winding_from_1024_samples(x)
+        assert winding == old_winding and abs(residual - old_residual) <= 1e-12, x
+    assert nodes[-3:] == [129, 257, 1025]
+
+
+def test_cycle_integral_and_winding_share_one_reduction_of_the_first_level(P23, monkeypatch):
+    sizes = _spy_reductions(monkeypatch)
+    for x in _round_classes(P23):
+        sizes.clear()
+        cycle_integral_23(x)
+        winding_residual_23(x)
+        assert sizes == [65], (x, sizes)
+        # the kept first level belongs to x alone: -x, x^-1 and the primitive root are new elements
+        assert "level_23" in x._sym
+        for y in (-x, x.inverse(), primitive_root(x)[0]):
+            assert "level_23" not in y._sym, (x, y)

@@ -91,6 +91,12 @@ def test_lift_command(capsys):
     assert d["word"] == "-I" and d["level"] == 0 and d["psi"] == 6
 
 
+def test_word_starting_with_minus_takes_the_equals_form(capsys):
+    # argparse reads a bare -I as a flag (exit 2); --word=-I is the documented form
+    code, d = run_json(capsys, "lift", "--pq", "3,4", "--word=-I")
+    assert code == 0 and d["word"] == "-I" and d["level"] == 0 and d["psi"] == 12
+
+
 def _lift_by_products(el):
     """level and steps of `trirad lift`, one Element product and W per syllable."""
     params = el.params
@@ -166,11 +172,21 @@ def test_stats_command(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [("--max-trace", "0"), ("--max-trace", "2"), ("--a", "nan"), ("--b", "nan"), ("--a", "1", "--b", "-1")],
+    [
+        ("--max-trace", "0"),
+        ("--max-trace", "2"),
+        ("--a", "nan"),
+        ("--b", "nan"),
+        ("--a", "1", "--b", "-1"),
+        ("--a", "inf", "--b", "inf"),
+        ("--a=-inf",),
+        ("--b", "inf"),
+    ],
 )
 def test_stats_bad_bounds_exit_4(capsys, argv):
     # --max-trace 0 used to fall back to the syllable table, NaN printed an
-    # invalid JSON reference, and a > b a negative one
+    # invalid JSON reference, a > b a negative one, and an infinite bound
+    # was written as Infinity, which is not JSON
     code, d = run_json(capsys, "stats", "--pq", "2,3", *argv)
     assert code == 4 and d["error"] == "DomainError"
 

@@ -70,7 +70,8 @@ def test_dual_pipelines_agree(p, q, rng):
 
 def test_long_words_stay_on_the_float_tier(rng, monkeypatch):
     # (5,7) words of 900 syllables pass the float range; the rescaled shadow
-    # still decides every sign of both pipelines, Element.asai and trace_sign
+    # still decides every sign of both pipelines, and Element.asai and
+    # trace_sign are read off the word, so no sign here is exact
     params = get_params(5, 7)
     while True:
         x = random_element(params, rng, 900, min_syllables=900)
