@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from trirad.errors import DomainError, NumericError, PreconditionError
 from trirad.group import Element, GroupParams, is_primitive
@@ -130,15 +129,16 @@ def _q_series(z, N: int, k: int):
     if N < 1:
         raise DomainError("truncation N must be >= 1")
     z = np.asarray(z, dtype=complex)
-    if np.any(z.imag <= 0):
-        raise DomainError("q-expansions require Im z > 0")
-    total = polyval(np.exp(2j * np.pi * z), _sigma_tables(N)[k < 0])
-    return total if total.ndim else complex(total)
+    if not np.all(np.isfinite(z) & (z.imag > 0)):
+        raise DomainError("q-expansions require a finite z with Im z > 0")
+    total = np.vander(np.exp(2j * np.pi * z.ravel()), N + 1, increasing=True) @ _sigma_tables(N)[k < 0]
+    return total.reshape(z.shape) if z.ndim else complex(total[0])
 
 
 def log_delta_23(z: complex, N: int = 200) -> complex:
     """Truncated log Delta; the tail is O(e^(-2 pi N Im z))."""
-    return 2j * np.pi * z - 24.0 * _q_series(z, N, -1)
+    series = _q_series(z, N, -1)  # first, so a non-finite z raises before numpy warns on 2 pi i z
+    return 2j * np.pi * z - 24.0 * series
 
 
 def eisenstein_E2(z: complex, N: int = 200) -> complex:
@@ -163,7 +163,7 @@ def _reduce_23(z):
 
     Each pass translates every node by its nearest integer and inverts the
     nodes with |z| < 1 (z -> -1/z); the loop ends at the first pass that
-    inverts no node, when every node is in the domain.  z is a complex or an array of them with Im z > 0; c and d come
+    inverts no node, when every node is in the domain.  z is a finite complex or an array of them with Im z > 0; c and d come
     back as float arrays of the integers, coprime, in z's shape.  gamma's rows
     are carried as a + ib and c + id.
 
@@ -190,8 +190,8 @@ def _reduce_23(z):
     not a loss of the reduction.
     """
     z = np.array(z, dtype=complex)
-    if np.any(z.imag <= 0):
-        raise DomainError("the reduction requires Im z > 0")
+    if not np.all(np.isfinite(z) & (z.imag > 0)):
+        raise DomainError("the reduction requires a finite z with Im z > 0")
     top, bot = np.ones_like(z), np.full_like(z, 1j)
     for _ in range(_MAX_PASSES):
         n = np.rint(z.real)
@@ -207,19 +207,17 @@ def _reduce_23(z):
     raise NumericError(f"reduction did not end within {_MAX_PASSES} passes")
 
 
-def _e2_reduced(z, N: int, reduced=None):
-    """E2(z) = [E2(gz) + (6i/pi) c j] / j^2, j = cz + d: the weight-2 law, series taken at gz = reduced or `_reduce_23(z)`."""
-    gz, c, d = _reduce_23(z) if reduced is None else reduced
+def _e2_reduced(z, N: int, reduced):
+    """E2(z) = [E2(gz) + (6i/pi) c j] / j^2, j = cz + d: the weight-2 law, with (gz, c, d) = reduced = `_reduce_23(z)`."""
+    gz, c, d = reduced
     j = c * z + d
-    e2 = 1.0 - 24.0 * polyval(np.exp(2j * np.pi * gz), _sigma_tables(N)[0])
-    return (e2 + (6j / math.pi) * c * j) / (j * j)
+    return (eisenstein_E2(gz, N) + (6j / math.pi) * c * j) / (j * j)
 
 
-def _arg_delta_reduced(z, N: int, reduced=None):
-    """Im log Delta(z) mod 2 pi, as Im log Delta(gz) - 12 arg(cz + d) (Delta(gz) = (cz + d)^12 Delta(z)), gz as in `_e2_reduced`."""
-    gz, c, d = _reduce_23(z) if reduced is None else reduced
-    series = polyval(np.exp(2j * np.pi * gz), _sigma_tables(N)[1])
-    return 2.0 * np.pi * gz.real - 24.0 * series.imag - 12.0 * np.angle(c * z + d)
+def _arg_delta_reduced(z, N: int, reduced):
+    """Im log Delta(z) mod 2 pi, as Im log Delta(gz) - 12 arg(cz + d) (Delta(gz) = (cz + d)^12 Delta(z)), reduced as in `_e2_reduced`."""
+    gz, c, d = reduced
+    return log_delta_23(gz, N).imag - 12.0 * np.angle(c * z + d)
 
 
 class CycleIntegralResult(NamedTuple):
@@ -228,21 +226,20 @@ class CycleIntegralResult(NamedTuple):
     residual: float
 
 
-def _ladder_23(el: Element, g, samples: Optional[int] = None):
-    """Yield g(gd, z, iy, `_reduce_23(z)`) on each level of the ladder (module docstring), or once on samples nodes."""
+def _ladder_23(el: Element, g):
+    """Yield g(gd, z, iy, `_reduce_23(z)`) on each level of the ladder (module docstring), without end."""
     def level(gd, s):  # the nodes t = L (s - 1/2), L = log xi, 0 <= s <= 1
         z, iy = _geodesic_path_23(gd, math.log(gd.xi) * (s - 0.5))
         return gd, z, iy, _reduce_23(z)
 
-    first = el._sym.get("level_23") if samples is None else level(_geodesic_data(el), np.arange(samples) / (samples - 1))
+    first = el._sym.get("level_23")
     if first is None:
         first = el._sym["level_23"] = level(_geodesic_data(el), np.arange(65) / 64)
     values = g(*first)
-    yield values
-    while samples is None:
+    while True:
+        yield values
         n = len(values) - 1
         values = np.insert(values, np.arange(1, n + 1), g(*level(first[0], (np.arange(n) + 0.5) / n)))
-        yield values
 
 
 def cycle_integral_23(el: Element, tol: float = 1e-6) -> CycleIntegralResult:
@@ -292,38 +289,35 @@ def cycle_integral_23(el: Element, tol: float = 1e-6) -> CycleIntegralResult:
     return CycleIntegralResult(value=total.real, psi=psi_, residual=abs(total.real - psi_))
 
 
-def winding_number_23(el: Element, samples: Optional[int] = None) -> int:
-    """Winding index of j(g,i)^(-12) Delta(g i) along the geodesic-flow loop."""
+def winding_number_23(el: Element) -> int:
+    """Winding index of j(g,i)^(-12) Delta(g i) along the geodesic-flow loop (`winding_residual_23`)."""
     _check_23(el, "winding_number_23", primitive=True)
-    return winding_residual_23(el, samples)[0]
+    return winding_residual_23(el)[0]
 
 
-def winding_residual_23(el: Element, samples: Optional[int] = None):
+def winding_residual_23(el: Element):
     """(winding, distance of the summed turns from it) of j(g,i)^(-12) Delta(g i) over one period.
 
     The phase of Delta at each node comes from its image in the fundamental
     domain (`_arg_delta_reduced`) and is right only modulo 2 pi; the wrapped
     steps between neighbours absorb that, summed at the first level of the
-    ladder where all are below pi/2 (NumericError past 2^18 intervals).  An
-    explicit samples is one level of that many nodes, an int >= 3 (DomainError).
+    ladder (`_ladder_23`) where all are below pi/2.  NumericError when no
+    level up to 2^18 intervals has every step below pi/2.
     """
     _check_23(el, "winding_residual_23")
-    if samples is not None and not (isinstance(samples, (int, np.integer)) and samples >= 3):
-        raise DomainError("samples must be an int >= 3")
     N = _truncation_for(1e-8)
 
     def phase(gd, z, iy, reduced):
         # j(g_t, i) = (e^t i + e^-t)/sqrt(span), of phase arctan(e^(2t)); constant |.| factors do not move it
         return _arg_delta_reduced(z, N, reduced) - 12.0 * np.arctan(iy.imag)
 
-    for ph in _ladder_23(el, phase, samples):
+    for ph in _ladder_23(el, phase):
         wrapped = (np.diff(ph) + np.pi) % (2 * np.pi) - np.pi
         if np.max(np.abs(wrapped)) < np.pi * 0.5:
             turns = float(np.sum(wrapped)) / (2 * np.pi)
             return round(turns), abs(turns - round(turns))
         if len(ph) > 1 << 18:
-            break
-    raise NumericError("undersampled winding path: phase step >= pi")
+            raise NumericError("undersampled winding path: a phase step >= pi/2 at 2^18 intervals")
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +366,14 @@ def _class_entry(word: GroupWord, trace: float, Psi: int, pq: int) -> ClassEntry
     return ClassEntry(word, trace, psi_, Psi, 2.0 * math.log(xi))
 
 
-def enumerate_classes(params: GroupParams, max_syllables: int, max_workers=None) -> ClassTable:
+def enumerate_classes(params: GroupParams, max_syllables: int) -> ClassTable:
     """Primitive hyperbolic classes with cyclic words up to the syllable bound.
 
     A class of S^a U^b pairs is a primitive necklace over the (p-1)(q-1)
     letters (a, b), and its representative is the Lyndon word, the least
     rotation.  The table lists them by length, then lexicographically.  Rows:
     the float shadow's trace, psi and Psi from `syllable_Psi`, and length =
-    2 log xi with xi + 1/xi = |trace|.  max_workers is accepted and ignored.
+    2 log xi with xi + 1/xi = |trace|.
     """
     if max_syllables < 2:
         raise DomainError("max_syllables must be >= 2")
