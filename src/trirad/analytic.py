@@ -12,19 +12,21 @@ is cut at the N terms where e^(-2 pi N sqrt(3)/2) <= tol/1000 (plus 10): 13
 terms at tol 1e-6, 14 at 1e-8, not a count set by the least Im z on the
 geodesic.  Both checks sample the period on one ladder (`_ladder_23`): the 65
 nodes t = L (k/64 - 1/2), L = log xi, then n = 128, 256, ... intervals, each
-level taking only its new midpoints.  The first level and its reduction are
-kept with the element, so the two checks share its one `_reduce_23` call.
+level taking only its new midpoints.  The first level, with each node's
+reduction and q, is kept with the element, so the two checks share its 65
+`_reduce_23` calls and exps.  The work is done one node at a time in `math`
+and `cmath`: a level is a list of per-node tuples and each series a Horner
+loop of 13-14 terms, too small for an array library to pay for its import.
 Syllable-bounded class enumeration and the arctan distribution statistics
 work for any (p,q); trace-bounded enumeration is (2,3)-only.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import lru_cache
 from typing import NamedTuple, Tuple
-
-import numpy as np
 
 from trirad.errors import DomainError, NumericError, PreconditionError
 from trirad.group import Element, GroupParams, is_primitive
@@ -93,52 +95,37 @@ def _geodesic_data(el: Element) -> GeodesicData:
     return GeodesicData(w=w, w_prime=w_prime, xi=xi, M=M, length=2.0 * math.log(xi))
 
 
-def _geodesic_path_23(gd: GeodesicData, t):
-    """(z(t), i e^(2t)) on the axis of el, gd = `_geodesic_data(el)`, for t in [-log xi / 2, log xi / 2].
-
-    z(t) = (w i e^(2t) + w')/(i e^(2t) + 1) runs along the axis of el from
-    z_0 = z(-log xi / 2) to el(z_0) = z(log xi / 2).  The period is centred on
-    the top M i = z(0), so its least Im z, at both ends, is (w - w') xi /
-    (1 + xi^2), about (w - w')/xi.  That matters because the nodes are floats:
-    a node's real part is only good to an ulp of |z|, which is eps |z| / Im z
-    in hyperbolic distance, so the integrands carry a relative error of about
-    eps |w| xi / (w - w') at the ends (`_reduce_23`).  el must have passed
-    `_check_23`.
-    """
-    iy = 1j * np.exp(2.0 * t)
-    return (gd.w * iy + gd.w_prime) / (iy + 1.0), iy
-
-
 # ---------------------------------------------------------------------------
 # (2,3) q-expansions
 
 
 @lru_cache(maxsize=8)
 def _sigma_tables(N: int):
-    """sigma_1(n) and sigma_{-1}(n) = sigma_1(n)/n for n <= N (0 at n = 0)."""
-    s1 = np.zeros(N + 1)
+    """sigma_1(n) and sigma_{-1}(n) = sigma_1(n)/n for n = N, N - 1, ..., 1: highest first, for Horner's rule."""
+    s1 = [0] * (N + 1)
     for d in range(1, N + 1):
-        s1[d::d] += d
-    n = np.arange(N + 1, dtype=float)
-    n[0] = 1.0
-    return s1, s1 / n
+        for m in range(d, N + 1, d):
+            s1[m] += d
+    return tuple(float(s1[n]) for n in range(N, 0, -1)), tuple(s1[n] / n for n in range(N, 0, -1))
 
 
-def _q_series(z, N: int, k: int):
-    """sum_{n=1}^N sigma_k(n) q^n, q = e^(2 pi i z), k = 1 or -1; z a complex or an array."""
+def _q_series(z: complex, N: int, k: int) -> complex:
+    """sum_{n=1}^N sigma_k(n) q^n, q = e^(2 pi i z), k = 1 or -1, for one complex z, by Horner's rule."""
     if N < 1:
         raise DomainError("truncation N must be >= 1")
-    z = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(z) & (z.imag > 0)):
+    if not (cmath.isfinite(z) and z.imag > 0):
         raise DomainError("q-expansions require a finite z with Im z > 0")
-    total = np.vander(np.exp(2j * np.pi * z.ravel()), N + 1, increasing=True) @ _sigma_tables(N)[k < 0]
-    return total.reshape(z.shape) if z.ndim else complex(total[0])
+    # q is 1-periodic in z: Re z - round(Re z) is exact, and 2 pi z stays finite however large Re z is
+    q = cmath.exp(2j * math.pi * (z - round(z.real)))
+    total = 0j
+    for s in _sigma_tables(N)[k < 0]:
+        total = total * q + s
+    return total * q
 
 
 def log_delta_23(z: complex, N: int = 200) -> complex:
     """Truncated log Delta; the tail is O(e^(-2 pi N Im z))."""
-    series = _q_series(z, N, -1)  # first, so a non-finite z raises before numpy warns on 2 pi i z
-    return 2j * np.pi * z - 24.0 * series
+    return 2j * math.pi * z - 24.0 * _q_series(z, N, -1)
 
 
 def eisenstein_E2(z: complex, N: int = 200) -> complex:
@@ -158,18 +145,18 @@ _MAX_PASSES = 128
 _MAX_ENTRY = 2.0**53
 
 
-def _reduce_23(z):
-    """(gz, c, d): gz = gamma z in the fundamental domain of SL2(Z), gamma = (a b; c d).
+def _reduce_23(z: complex):
+    """(gz, c, d): gz = gamma z in the fundamental domain of SL2(Z), gamma = (a b; c d), for one node z.
 
-    Each pass translates every node by its nearest integer and inverts the
-    nodes with |z| < 1 (z -> -1/z); the loop ends at the first pass that
-    inverts no node, when every node is in the domain.  z is a finite complex or an array of them with Im z > 0; c and d come
-    back as float arrays of the integers, coprime, in z's shape.  gamma's rows
-    are carried as a + ib and c + id.
+    Each pass translates the node by its nearest integer (ties to even) and
+    inverts it (z -> -1/z) when |z| < 1; the loop ends at the first pass that
+    does not invert, when the node is in the domain.  z is a finite complex
+    with Im z > 0; c and d come back as floats of the integers, coprime.
+    gamma's rows are carried as a + ib and c + id.
 
     Where the loop stops: the translation z - n with |z - n| <= 1/2 is exact
     (Sterbenz), so |Re gz| <= 1/2 exactly, and |gz| >= 1 - 2^-51 up to the
-    last bit of np.abs; hence Im gz >= sqrt(3)/2 - 2^-50 however the rounding
+    last bit of abs; hence Im gz >= sqrt(3)/2 - 2^-50 however the rounding
     moved the node, and `_truncation_for` may count on Im gz >= sqrt(3)/2.
     Cost: after a translation |Re z| <= 1/2, so while Im z <= 1/2 an inversion
     at least doubles Im z, and a node needs at most about log2(1/Im z) + 3
@@ -189,57 +176,101 @@ def _reduce_23(z):
     the real axis (an ulp of Re z is eps |z| / Im z in hyperbolic distance),
     not a loss of the reduction.
     """
-    z = np.array(z, dtype=complex)
-    if not np.all(np.isfinite(z) & (z.imag > 0)):
+    if not (cmath.isfinite(z) and z.imag > 0):
         raise DomainError("the reduction requires a finite z with Im z > 0")
-    top, bot = np.ones_like(z), np.full_like(z, 1j)
+    top, bot = 1 + 0j, 1j
     for _ in range(_MAX_PASSES):
-        n = np.rint(z.real)
+        n = round(z.real)
         z -= n
         top -= n * bot
-        if np.max(np.abs(top)) >= _MAX_ENTRY:
+        if abs(top) >= _MAX_ENTRY:
             raise NumericError("node too close to the real axis for the float reduction")
-        inv = np.abs(z) < _INVERT_BELOW
-        if not inv.any():
+        if abs(z) >= _INVERT_BELOW:
             return z, bot.real, bot.imag
-        z = np.where(inv, -1.0 / z, z)
-        top, bot = np.where(inv, -bot, top), np.where(inv, top, bot)
+        z = -1.0 / z
+        top, bot = -bot, top
     raise NumericError(f"reduction did not end within {_MAX_PASSES} passes")
 
 
-def _e2_reduced(z, N: int, reduced):
-    """E2(z) = [E2(gz) + (6i/pi) c j] / j^2, j = cz + d: the weight-2 law, with (gz, c, d) = reduced = `_reduce_23(z)`."""
-    gz, c, d = reduced
+# The two per-node series below run Horner's rule inline on the node's q =
+# e^(2 pi i gz), over a table of `_sigma_tables(N)` that the caller looks up
+# once: `_reduce_23` has checked the node, and Im gz >= sqrt(3)/2.
+
+
+def _e2_reduced(z: complex, sigma_1, reduced):
+    """E2(z) = [E2(gz) + (6i/pi) c j] / j^2, j = cz + d: the weight-2 law at one node.
+
+    sigma_1 = `_sigma_tables(N)[0]`, and reduced = (gz, c, d, q): (gz, c, d) =
+    `_reduce_23(z)` and q = e^(2 pi i gz).
+    """
+    gz, c, d, q = reduced
+    total = 0j
+    for s in sigma_1:
+        total = total * q + s
     j = c * z + d
-    return (eisenstein_E2(gz, N) + (6j / math.pi) * c * j) / (j * j)
+    return (1.0 - 24.0 * (total * q) + (6j / math.pi) * c * j) / (j * j)
 
 
-def _arg_delta_reduced(z, N: int, reduced):
-    """Im log Delta(z) mod 2 pi, as Im log Delta(gz) - 12 arg(cz + d) (Delta(gz) = (cz + d)^12 Delta(z)), reduced as in `_e2_reduced`."""
-    gz, c, d = reduced
-    return log_delta_23(gz, N).imag - 12.0 * np.angle(c * z + d)
+def _arg_delta_reduced(z: complex, sigma_m1, reduced):
+    """Im log Delta(z) mod 2 pi, as Im log Delta(gz) - 12 arg(cz + d) (Delta(gz) = (cz + d)^12 Delta(z)).
+
+    sigma_m1 = `_sigma_tables(N)[1]`, and reduced is as in `_e2_reduced`.
+    """
+    gz, c, d, q = reduced
+    total = 0j
+    for s in sigma_m1:
+        total = total * q + s
+    return 2.0 * math.pi * gz.real - 24.0 * (total * q).imag - 12.0 * cmath.phase(c * z + d)
+
+
+def _level_23(gd: GeodesicData, ss):
+    """Yield the node (z, iy, (gz, c, d, q)) at t = L (s - 1/2), L = log xi, for each s in ss (0 <= s <= 1).
+
+    gd = `_geodesic_data(el)`, iy = i e^(2t), (gz, c, d) = `_reduce_23(z)` and
+    q = e^(2 pi i gz), the one exp that E2 and log Delta at the node share
+    (`_e2_reduced`, `_arg_delta_reduced`).  z = z(t) = (w i e^(2t) + w')/(i
+    e^(2t) + 1) runs along the axis of el from z_0 = z(-L/2) to el(z_0) =
+    z(L/2).  The period is centred on the top M i = z(0), so its least Im z, at
+    both ends, is (w - w') xi / (1 + xi^2), about (w - w')/xi.  That matters
+    because the nodes are floats: a node's real part is only good to an ulp of
+    |z|, which is eps |z| / Im z in hyperbolic distance, so the integrands
+    carry a relative error of about eps |w| xi / (w - w') at the ends
+    (`_reduce_23`).  gd's element must have passed `_check_23`.
+    """
+    L, w, w_prime = math.log(gd.xi), gd.w, gd.w_prime
+    exp, cexp, two_pi_i = math.exp, cmath.exp, 2j * math.pi
+    for s in ss:
+        iy = complex(0.0, exp(2.0 * (L * (s - 0.5))))
+        z = (w * iy + w_prime) / (iy + 1.0)
+        gz, c, d = _reduce_23(z)
+        yield z, iy, (gz, c, d, cexp(two_pi_i * gz))
+
+
+def _ladder_23(el: Element, g):
+    """Yield g(gd, nodes), a list of one value per node, on each level of the ladder (module docstring), without end.
+
+    gd = `_geodesic_data(el)`, and the nodes are `_level_23`'s: the 65 of the
+    first level, kept with el as a list, then each level's new midpoints.
+    """
+    first = el._sym.get("level_23")
+    if first is None:
+        gd = _geodesic_data(el)
+        first = el._sym["level_23"] = gd, list(_level_23(gd, [k / 64 for k in range(65)]))
+    gd, nodes = first
+    values = g(gd, nodes)
+    while True:
+        yield values
+        n = len(values) - 1
+        finer = [None] * (2 * n + 1)
+        finer[::2] = values
+        finer[1::2] = g(gd, _level_23(gd, [(k + 0.5) / n for k in range(n)]))
+        values = finer
 
 
 class CycleIntegralResult(NamedTuple):
     value: float
     psi: int
     residual: float
-
-
-def _ladder_23(el: Element, g):
-    """Yield g(gd, z, iy, `_reduce_23(z)`) on each level of the ladder (module docstring), without end."""
-    def level(gd, s):  # the nodes t = L (s - 1/2), L = log xi, 0 <= s <= 1
-        z, iy = _geodesic_path_23(gd, math.log(gd.xi) * (s - 0.5))
-        return gd, z, iy, _reduce_23(z)
-
-    first = el._sym.get("level_23")
-    if first is None:
-        first = el._sym["level_23"] = level(_geodesic_data(el), np.arange(65) / 64)
-    values = g(*first)
-    while True:
-        yield values
-        n = len(values) - 1
-        values = np.insert(values, np.arange(1, n + 1), g(*level(first[0], (np.arange(n) + 0.5) / n)))
 
 
 def cycle_integral_23(el: Element, tol: float = 1e-6) -> CycleIntegralResult:
@@ -257,7 +288,7 @@ def cycle_integral_23(el: Element, tol: float = 1e-6) -> CycleIntegralResult:
     Length domain, at the default tol: every primitive class of at most 80
     syllables.  n grows only with the period; what grows with the class is the
     float error at the ends of the period, about eps xi |w| / (w - w')
-    (`_geodesic_path_23`).  An 80-syllable class is a word of 40 letters L, R
+    (`_level_23`).  An 80-syllable class is a word of 40 letters L, R
     with |trace| at most the Lucas number L_40 = 2.3e8, and (L R)^20 L (82
     syllables, trace 3.3e8) still gives a residual of 4e-8.  Past xi of about
     1e10 the sums stop agreeing to tol/20 and NumericError is raised: 6 of 8
@@ -270,15 +301,18 @@ def cycle_integral_23(el: Element, tol: float = 1e-6) -> CycleIntegralResult:
     if not 0.0 < tol < math.inf:
         raise DomainError("tol must be finite and > 0")
     _check_23(el, "cycle_integral_23", primitive=True)
-    N = _truncation_for(tol)
+    sigma_1 = _sigma_tables(_truncation_for(tol))[0]
 
-    def f(gd, z, iy, reduced):  # L f(t), so that T_n is the mean of the values, ends halved
-        dz = 2.0 * iy * (gd.w - gd.w_prime) / (iy + 1.0) ** 2
-        return (_e2_reduced(z, N, reduced) - 3.0 / (math.pi * z.imag)) * dz * math.log(gd.xi)
+    def f(gd, nodes):  # L f(t) at each node, so that T_n is the mean of the values, ends halved
+        span, L, pi = gd.w - gd.w_prime, math.log(gd.xi), math.pi
+        return [
+            (_e2_reduced(z, sigma_1, reduced) - 3.0 / (pi * z.imag)) * (2.0 * iy * span / (iy + 1.0) ** 2) * L
+            for z, iy, reduced in nodes
+        ]
 
     for fs in _ladder_23(el, f):
         # the trapezoid sums T_n on this level and T_(n/2) on every other node
-        total, coarse = (complex(np.sum(v) - 0.5 * (v[0] + v[-1])) / (len(v) - 1) for v in (fs, fs[::2]))
+        total, coarse = ((sum(v) - 0.5 * (v[0] + v[-1])) / (len(v) - 1) for v in (fs, fs[::2]))
         if abs(total - coarse) <= tol / 20:
             break
         if len(fs) > 2048:
@@ -305,16 +339,17 @@ def winding_residual_23(el: Element):
     level up to 2^18 intervals has every step below pi/2.
     """
     _check_23(el, "winding_residual_23")
-    N = _truncation_for(1e-8)
+    sigma_m1 = _sigma_tables(_truncation_for(1e-8))[1]
 
-    def phase(gd, z, iy, reduced):
+    def phases(gd, nodes):
         # j(g_t, i) = (e^t i + e^-t)/sqrt(span), of phase arctan(e^(2t)); constant |.| factors do not move it
-        return _arg_delta_reduced(z, N, reduced) - 12.0 * np.arctan(iy.imag)
+        atan = math.atan
+        return [_arg_delta_reduced(z, sigma_m1, reduced) - 12.0 * atan(iy.imag) for z, iy, reduced in nodes]
 
-    for ph in _ladder_23(el, phase):
-        wrapped = (np.diff(ph) + np.pi) % (2 * np.pi) - np.pi
-        if np.max(np.abs(wrapped)) < np.pi * 0.5:
-            turns = float(np.sum(wrapped)) / (2 * np.pi)
+    for ph in _ladder_23(el, phases):
+        wrapped = [(b - a + math.pi) % (2 * math.pi) - math.pi for a, b in zip(ph, ph[1:])]
+        if max(map(abs, wrapped)) < math.pi * 0.5:
+            turns = sum(wrapped) / (2 * math.pi)
             return round(turns), abs(turns - round(turns))
         if len(ph) > 1 << 18:
             raise NumericError("undersampled winding path: a phase step >= pi/2 at 2^18 intervals")

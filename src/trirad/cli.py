@@ -9,7 +9,9 @@ dictionaries).  Error classes map to distinct exit codes:
                                 8  internal inconsistency
                                 9  randomized verification failure
 
-The analytic layer (numpy) is imported only by the commands that use it.
+The analytic layer is imported only by the commands that use it: where no
+bytecode is cached (PYTHONDONTWRITEBYTECODE=1), each import compiles the
+module's source, and the other commands need not pay for that.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def _emit(args, payload, csv_rows=None):
         sys.stdout.write("\n")
     elif fmt == "csv":
         if csv_rows is None:
-            raise DomainError("csv output is available for enumerate/stats only")
+            raise DomainError("csv output is available for the enumerate and stats commands only")
         out = csv.writer(sys.stdout)
         out.writerow(csv_rows[0])
         out.writerows(csv_rows[1:])
@@ -205,7 +207,7 @@ def cmd_stats(args):
         "reference": st.reference,
         "ks_distance": st.ks_distance,
     }
-    _emit(args, payload)
+    _emit(args, payload, [list(payload), list(payload.values())])
     return 0
 
 

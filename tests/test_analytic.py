@@ -20,8 +20,9 @@ from trirad.analytic import (
     GeodesicData,
     _arg_delta_reduced,
     _e2_reduced,
-    _geodesic_path_23,
+    _level_23,
     _reduce_23,
+    _sigma_tables,
     _truncation_for,
     cycle_integral_23,
     distribution_stats,
@@ -117,20 +118,32 @@ def test_eisenstein_E2_weight_two_defect():
 
 
 def test_q_series_matches_the_termwise_sum():
-    # the same truncated sums written out term by term, on scalars and on arrays
+    # the same truncated sums written out term by term; and the per-node sums, which run their own
+    # Horner loop on the node's q, agree with them at gz = z (gamma = I: c = 0, d = 1)
     zs = [0.1 + 1.3j, -0.4 + 0.2j, 2.7 + 0.05j]
     s1 = [sum(d for d in range(1, n + 1) if n % d == 0) for n in range(1, 201)]
+    sigma_1, sigma_m1 = _sigma_tables(200)
     for z in zs:
         qq = cmath.exp(2j * cmath.pi * z)
         e2 = 1 - 24 * sum(s * qq**n for n, s in enumerate(s1, 1))
         ld = 2j * cmath.pi * z - 24 * sum(s / n * qq**n for n, s in enumerate(s1, 1))
         assert abs(eisenstein_E2(z) - e2) < 1e-9 * max(1.0, abs(e2))
         assert abs(log_delta_23(z) - ld) < 1e-9 * max(1.0, abs(ld))
-    arr = np.array(zs)
-    assert np.allclose(eisenstein_E2(arr), [eisenstein_E2(z) for z in zs], rtol=1e-14, atol=0)
-    assert np.allclose(log_delta_23(arr), [log_delta_23(z) for z in zs], rtol=1e-14, atol=0)
+        at_z = (z, 0.0, 1.0, cmath.exp(2j * cmath.pi * (z - round(z.real))))  # q as the public sums take it
+        assert abs(_e2_reduced(z, sigma_1, at_z) - eisenstein_E2(z)) <= 1e-14 * abs(eisenstein_E2(z))
+        assert abs(_arg_delta_reduced(z, sigma_m1, at_z) - log_delta_23(z).imag) <= 1e-14 * abs(log_delta_23(z))
+    # a numpy scalar, as a caller holding its nodes in an array passes them, is taken like a complex
+    assert log_delta_23(np.complex128(1j)) == log_delta_23(1j)
     with pytest.raises(DomainError):
-        log_delta_23(np.array([1j, 0.5 + 0j]))
+        log_delta_23(np.complex128(0.5 + 0j))
+
+
+def test_q_series_take_re_z_modulo_one():
+    # q = e^(2 pi i z) is 1-periodic; far out along the real axis 2 pi z would overflow, or lose Re z's fraction
+    for x in (1e300, 1e308, -(2.0**60)):
+        assert eisenstein_E2(complex(x, 1.0)) == eisenstein_E2(1j)
+    assert eisenstein_E2(1e15 + 0.25 + 1j) == eisenstein_E2(0.25 + 1j)
+    assert log_delta_23(complex(1e15 + 0.25, 1.0)).real == log_delta_23(0.25 + 1j).real
 
 
 def test_cycle_integral_examples(P23):
@@ -226,13 +239,10 @@ def _reduction_nodes(rng):
 def test_reduce_23_lands_in_the_fundamental_domain_within_its_error_bound():
     rng = random.Random(23)
     zs, deep = _reduction_nodes(rng)
-    arr = np.array(zs + deep)
-    gz, c, d = _reduce_23(arr)
-    assert gz.shape == c.shape == d.shape == arr.shape
-    for j in range(0, len(arr), 10):  # a scalar gives the same answer as in the array
-        g1, c1, d1 = _reduce_23(arr[j])
-        assert (complex(g1), float(c1), float(d1)) == (gz[j], c[j], d[j])
-    for z, g, cf, df in zip(arr, gz, c, d):
+    for j, z in enumerate(zs + deep):
+        g, cf, df = _reduce_23(z)
+        if j % 10 == 0:  # a node in the domain comes back as it is, with gamma = I
+            assert _reduce_23(g) == (g, 0.0, 1.0), (z, g)
         assert abs(g.real) <= 0.5 and abs(g) >= 1 - 2.0**-50 and g.imag >= math.sqrt(3) / 2 - 2.0**-50, (z, g)
         ci, di = int(cf), int(df)
         assert (ci, di) == (cf, df) and math.gcd(ci, di) == 1, (z, cf, df)
@@ -255,22 +265,26 @@ def test_reduce_23_rejects_points_off_the_upper_half_plane():
         with pytest.raises(DomainError):
             _reduce_23(bad)
         with pytest.raises(DomainError):
-            _reduce_23(np.array([1j, bad]))
+            _reduce_23(np.complex128(bad))
+
+
+def _reduced(z):
+    """`_reduce_23(z)` and the node's q = e^(2 pi i gz), as `_level_23` keeps them."""
+    gz, c, d = _reduce_23(z)
+    return gz, c, d, cmath.exp(2j * math.pi * gz)
 
 
 def test_reduced_series_match_the_direct_series():
     assert (_truncation_for(1e-6), _truncation_for(1e-8)) == (13, 14)
     zs, _ = _reduction_nodes(random.Random(7))
-    arr = np.array(zs)
-    N = _truncation_for(1e-8)
-    e2, phase = _e2_reduced(arr, N, _reduce_23(arr)), _arg_delta_reduced(arr, N, _reduce_23(arr))
-    # 1000 terms make the direct tails negligible at Im z >= 0.01
-    direct_e2, direct_ld = eisenstein_E2(arr, 1000), log_delta_23(arr, 1000)
-    assert np.all(np.abs(e2 - direct_e2) <= 1e-10 * np.maximum(1.0, np.abs(direct_e2)))
-    gap = (phase - direct_ld.imag + math.pi) % (2 * math.pi) - math.pi
-    assert np.max(np.abs(gap)) <= 1e-10
-    for z in zs[::25]:
-        assert abs(_e2_reduced(z, N, _reduce_23(z)) - eisenstein_E2(z, 1000)) <= 1e-10 * max(1.0, abs(eisenstein_E2(z, 1000)))
+    sigma_1, sigma_m1 = _sigma_tables(_truncation_for(1e-8))
+    for z in zs:
+        reduced = _reduced(z)
+        # 1000 terms make the direct tails negligible at Im z >= 0.01
+        direct_e2, direct_ld = eisenstein_E2(z, 1000), log_delta_23(z, 1000)
+        assert abs(_e2_reduced(z, sigma_1, reduced) - direct_e2) <= 1e-10 * max(1.0, abs(direct_e2)), z
+        gap = (_arg_delta_reduced(z, sigma_m1, reduced) - direct_ld.imag + math.pi) % (2 * math.pi) - math.pi
+        assert abs(gap) <= 1e-10, z
 
 
 def _random_primitive_23(P23, rng, syllables):
@@ -377,9 +391,9 @@ def test_cycle_integral_psi_is_the_exact_psi(P23):
 
 def test_import_leaves_out_scipy():
     env = dict(os.environ, PYTHONPATH=str(Path(trirad.__file__).parents[1]))
-    code = "import sys, trirad.analytic; print('scipy' in sys.modules, 'numpy.polynomial' in sys.modules)"
+    code = "import sys, trirad.analytic; print('scipy' in sys.modules, 'numpy.polynomial' in sys.modules, 'numpy' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert res.returncode == 0 and res.stdout.strip() == "False False", res.stdout + res.stderr
+    assert res.returncode == 0 and res.stdout.strip() == "False False False", res.stdout + res.stderr
 
 
 def test_winding_examples(P23):
@@ -393,8 +407,8 @@ def test_winding_examples(P23):
 
 def test_winding_gives_up_at_two_to_the_eighteen_intervals(P23, monkeypatch):
     # a phase of uniform noise in (-pi, pi) leaves some step >= pi/2 on every level of the ladder
-    noise = np.random.default_rng(18)
-    monkeypatch.setattr(trirad.analytic, "_arg_delta_reduced", lambda z, N, reduced: noise.uniform(-np.pi, np.pi, z.shape))
+    noise = random.Random(18)
+    monkeypatch.setattr(trirad.analytic, "_arg_delta_reduced", lambda z, sigma_m1, reduced: noise.uniform(-math.pi, math.pi))
     sizes = _spy_reductions(monkeypatch)
     y = el(P23, "- U * S * U^2 * S * U^2 * S")
     with pytest.raises(NumericError, match="pi/2 at 2\\^18 intervals"):
@@ -608,7 +622,8 @@ def _gauss_legendre_cycle_integral(x, order=256):
     iy = 1j * np.exp(2.0 * half * nodes)
     z = (gd.w * iy + gd.w_prime) / (iy + 1.0)
     dz = 2.0 * iy * (gd.w - gd.w_prime) / (iy + 1.0) ** 2
-    e2 = half * np.sum(weights * _e2_reduced(z, _truncation_for(1e-6), _reduce_23(z)) * dz)
+    sigma_1 = _sigma_tables(_truncation_for(1e-6))[0]
+    e2 = half * np.sum(weights * np.array([_e2_reduced(zk, sigma_1, _reduced(zk)) for zk in z.tolist()]) * dz)
     return (complex(e2) - (6.0 / math.pi) * (math.atan(gd.xi) - math.atan(1.0 / gd.xi))).real
 
 
@@ -628,7 +643,7 @@ def test_trapezoid_rule_matches_the_gauss_legendre_sum(P23):
 
 def test_round_classes_take_one_reduction_and_no_gauss_legendre_table(P23):
     xs = _round_classes(P23)
-    # a profile hook sees every call of these functions, however a caller holds them
+    # a profile hook sees every call of these functions, however a caller holds them; one reduction per node
     spied = {_reduce_23.__code__: "reduce", np.polynomial.legendre.leggauss.__code__: "leggauss"}
     calls = []
 
@@ -643,31 +658,31 @@ def test_round_classes_take_one_reduction_and_no_gauss_legendre_table(P23):
             sys.setprofile(spy)
             cycle_integral_23(x)
             sys.setprofile(before)
-            assert calls == ["reduce"], (x, calls)
+            assert calls == ["reduce"] * 65, (x, calls)
     finally:
         sys.setprofile(before)
 
 
 def test_integrand_is_periodic_on_long_classes(P23):
     rng = random.Random(2120)
-    N = _truncation_for(1e-6)
+    sigma_1 = _sigma_tables(_truncation_for(1e-6))[0]
     for n in range(20, 52, 2):
         for _ in range(3):
             gd = geodesic_data(_random_primitive_23(P23, rng, n))
-            half = 0.5 * math.log(gd.xi)
-            z, iy = _geodesic_path_23(gd, np.array([-half, half]))
-            dz = 2.0 * iy * (gd.w - gd.w_prime) / (iy + 1.0) ** 2
-            f = (_e2_reduced(z, N, _reduce_23(z)) - 3.0 / (math.pi * z.imag)) * dz
+            f = []
+            for z, iy, reduced in _level_23(gd, [0.0, 1.0]):  # t = -L/2 and L/2
+                dz = 2.0 * iy * (gd.w - gd.w_prime) / (iy + 1.0) ** 2
+                f.append((_e2_reduced(z, sigma_1, reduced) - 3.0 / (math.pi * z.imag)) * dz)
             assert abs(f[0] - f[1]) <= 1e-9 * abs(f[1]), (n, f)
 
 
 def _complex_log_winding(x):
     """The winding as summed before the phase-only series: Im of the whole log Delta, arg j(g,i) from a complex log."""
     gd = geodesic_data(x)
-    t = np.linspace(-0.5, 0.5, 1024) * math.log(gd.xi)
-    z, _ = _geodesic_path_23(gd, t)
-    gz, c, d = _reduce_23(z)
-    ph = np.imag(log_delta_23(gz, _truncation_for(1e-8))) - 12.0 * np.angle(c * z + d)
+    s = np.linspace(0.0, 1.0, 1024)
+    t = math.log(gd.xi) * (s - 0.5)
+    N = _truncation_for(1e-8)
+    ph = np.array([log_delta_23(gz, N).imag - 12.0 * cmath.phase(c * z + d) for z, _, (gz, c, d, _) in _level_23(gd, s.tolist())])
     ph -= 12.0 * np.imag(np.log(np.exp(t) * 1j + np.exp(-t)))
     wrapped = (np.diff(ph) + np.pi) % (2 * np.pi) - np.pi
     assert np.max(np.abs(wrapped)) < np.pi / 2
@@ -691,10 +706,11 @@ def _winding_from_1024_samples(x):
     """The winding as laddered before the shared first level: 1024 samples, all evaluated again at each doubling."""
     gd = geodesic_data(x)
     n = 1024
+    sigma_m1 = _sigma_tables(_truncation_for(1e-8))[1]
     while True:
-        t = np.linspace(-0.5, 0.5, n) * math.log(gd.xi)
-        z, iy = _geodesic_path_23(gd, t)
-        ph = _arg_delta_reduced(z, _truncation_for(1e-8), _reduce_23(z)) - 12.0 * np.arctan(iy.imag)
+        nodes = list(_level_23(gd, np.linspace(0.0, 1.0, n).tolist()))
+        ph = np.array([_arg_delta_reduced(z, sigma_m1, reduced) for z, _, reduced in nodes])
+        ph -= 12.0 * np.arctan([iy.imag for _, iy, _ in nodes])
         wrapped = (np.diff(ph) + np.pi) % (2 * np.pi) - np.pi
         if np.max(np.abs(wrapped)) < np.pi / 2:
             turns = float(np.sum(wrapped)) / (2 * np.pi)
@@ -703,10 +719,10 @@ def _winding_from_1024_samples(x):
 
 
 def _spy_reductions(monkeypatch):
-    """The node counts of every `_reduce_23` call from here on."""
+    """A list that gains a 1 at every `_reduce_23` call from here on: one per reduced node."""
     sizes = []
     reduce = trirad.analytic._reduce_23
-    monkeypatch.setattr(trirad.analytic, "_reduce_23", lambda z: sizes.append(np.size(z)) or reduce(z))
+    monkeypatch.setattr(trirad.analytic, "_reduce_23", lambda z: sizes.append(1) or reduce(z))
     return sizes
 
 
@@ -734,7 +750,7 @@ def test_cycle_integral_and_winding_share_one_reduction_of_the_first_level(P23, 
         sizes.clear()
         cycle_integral_23(x)
         winding_residual_23(x)
-        assert sizes == [65], (x, sizes)
+        assert sum(sizes) == 65, (x, sizes)
         # the kept first level belongs to x alone: -x, x^-1 and the primitive root are new elements
         assert "level_23" in x._sym
         for y in (-x, x.inverse(), primitive_root(x)[0]):

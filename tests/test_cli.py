@@ -1,5 +1,7 @@
 """CLI surface: JSON payloads, exit codes, determinism."""
 
+import csv
+import io
 import json
 import os
 import random
@@ -170,6 +172,22 @@ def test_stats_command(capsys):
     assert d2["count"] > d["count"]
 
 
+def test_stats_csv_is_the_payload_as_one_row(capsys):
+    argv = ("stats", "--pq", "2,3", "--max-trace", "20", "--a", "0")
+    code, d = run_json(capsys, *argv)
+    code_csv, out = run(capsys, *argv, "--format", "csv")
+    assert code == code_csv == 0
+    header, row = csv.reader(io.StringIO(out))
+    assert header == list(d) == ["pq", "count", "a", "b", "fraction", "reference", "ks_distance"]
+    assert row == ["[2, 3]", str(d["count"]), "0.0", "", repr(d["fraction"]), repr(d["reference"]), repr(d["ks_distance"])]
+
+
+def test_csv_elsewhere_names_the_commands_that_have_it(capsys):
+    code, d = run_json(capsys, "symbol", "--pq", "2,3", "--word", "S", "--format", "csv")
+    assert code == 4 and d["error"] == "DomainError"
+    assert "enumerate" in d["message"] and "stats" in d["message"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -241,6 +259,17 @@ def test_verify_failure_exits_9_under_optimize():
 def test_cli_import_leaves_out_numpy_and_scipy():
     res = run_python("-c", "import sys, trirad.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
     assert res.returncode == 0 and res.stdout.strip() == "[]", res.stdout + res.stderr
+
+
+@pytest.mark.parametrize(
+    "argv", [["numeric-check", "--pq", "2,3", "--max-syllables", "8"], ["stats", "--pq", "2,3", "--max-trace", "100"]]
+)
+def test_analytic_commands_run_without_numpy(argv):
+    # a None entry in sys.modules makes every import of numpy raise ImportError
+    code = f"import sys; sys.modules['numpy'] = None; from trirad.cli import main; sys.exit(main({argv!r}))"
+    res = run_python("-c", code)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert json.loads(res.stdout)["pq"] == [2, 3]
 
 
 @pytest.mark.parametrize("module", ["trirad.cli", "trirad"])
