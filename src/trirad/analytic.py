@@ -17,8 +17,8 @@ reduction and q, is kept with the element, so the two checks share its 65
 `_reduce_23` calls and exps.  The work is done one node at a time in `math`
 and `cmath`: a level is a list of per-node tuples and each series a Horner
 loop of 13-14 terms, too small for an array library to pay for its import.
-Syllable-bounded class enumeration and the arctan distribution statistics
-work for any (p,q); trace-bounded enumeration is (2,3)-only.
+Class tables come from prenecklace walks over the words, by syllables for any
+(p,q) and by trace at (2,3) only; the arctan statistics work for any (p,q).
 """
 
 from __future__ import annotations
@@ -30,12 +30,15 @@ from typing import NamedTuple, Tuple
 
 from trirad.errors import DomainError, NumericError, PreconditionError
 from trirad.group import Element, GroupParams, is_primitive
-from trirad.symbols import rademacher_Psi, syllable_Psi
+from trirad.symbols import rademacher_Psi
 from trirad.words import GroupWord, Syllable, render_word
 
 
 # ---------------------------------------------------------------------------
 # geodesic data
+
+# (a, b, c, d) of S, U and U^2 at (2,3), where `GroupParams.syllable_matrix` has integer entries
+_SYLLABLES_23 = {("S", 1): (0, -1, 1, 0), ("U", 1): (1, -1, 1, 0), ("U", 2): (0, -1, 1, -1)}
 
 
 class GeodesicData(NamedTuple):
@@ -65,24 +68,19 @@ def _check_hyperbolic_rep(el: Element, who: str):
 def geodesic_data(el: Element) -> GeodesicData:
     """Fixed points, scaling matrix and geodesic length of a tr>2, c>0 element.
 
-    The float entries are el.matrix.float_entries(), bit for bit, read off the
-    float shadow where it decides them.  At (2,3) the exact entries are
-    integers n, and the shadow (x, e, k) bounds |2^-k n - x| <= e
-    (`group._fmul`).  When k = 0, every e < 1/4 and every |x| < 2^52, x is
-    within 1/2 of n only, so round(x) = n, and |n| <= 2^52 is a float exactly.
-    The bound is 1/4 rather than 1/2 because it is itself evaluated in floats
-    and may come out a few ulps low.  Every other pair, and a (2,3) shadow
-    past those bounds, takes the exact matrix; on random classes the bounds
-    pass 1/4 from about 126 syllables on, with entries near 4e11.
+    At (2,3) the entries are the word's integers (`_SYLLABLES_23`), each rounded
+    once: el.matrix.float_entries() bit for bit, with no exact matrix built.
     """
     _check_hyperbolic_rep(el, "geodesic_data")
     return _geodesic_data(el)
 
 
 def _geodesic_data(el: Element) -> GeodesicData:
-    x, e, k = el.fmat
-    if (el.params.p, el.params.q) == (2, 3) and k == 0 and max(e) < 0.25 and max(map(abs, x)) < 2.0**52:
-        a, b, c, d = (float(round(v)) for v in x)
+    if (el.params.p, el.params.q) == (2, 3):  # sign * I times the syllables, in integers
+        a, b, c, d = el.word.sign, 0, 0, el.word.sign
+        for e, f, g, h in (_SYLLABLES_23[syl] for syl in el.word.syllables):
+            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        a, b, c, d = float(a), float(b), float(c), float(d)
     else:
         a, b, c, d = el.matrix.float_entries()
     t = a + d
@@ -379,20 +377,6 @@ class ClassTable(NamedTuple):
         return [dict(zip(keys, (render_word(e.word), e.trace, e.psi, e.Psi, e.length))) for e in self.entries]
 
 
-def _lyndon_words(k: int, n: int):
-    """Lyndon words of length 1..n over 0..k-1 in lexicographic order, in constant amortized
-    time each: Duval's algorithm (Duval 1988; Ruskey, *Combinatorial Generation*, 7.2)."""
-    w = [-1]
-    while w:
-        w[-1] += 1
-        yield tuple(w)
-        m = len(w)
-        while len(w) < n:
-            w.append(w[-m])
-        while w and w[-1] == k - 1:
-            w.pop()
-
-
 def _class_entry(word: GroupWord, trace: float, Psi: int, pq: int) -> ClassEntry:
     """Row of the hyperbolic class sigma = 1, S^a1 U^b1 ... S^ak U^bk; psi from `syllable_Psi`'s sign facts."""
     at = abs(trace)
@@ -404,20 +388,35 @@ def _class_entry(word: GroupWord, trace: float, Psi: int, pq: int) -> ClassEntry
 def enumerate_classes(params: GroupParams, max_syllables: int) -> ClassTable:
     """Primitive hyperbolic classes with cyclic words up to the syllable bound.
 
-    A class of S^a U^b pairs is a primitive necklace over the (p-1)(q-1)
-    letters (a, b), and its representative is the Lyndon word, the least
-    rotation.  The table lists them by length, then lexicographically.  Rows:
-    the float shadow's trace, psi and Psi from `syllable_Psi`, and length =
-    2 log xi with xi + 1/xi = |trace|.
+    A class of S^a U^b pairs is a primitive necklace over the (p-1)(q-1) letters
+    (a, b), ordered by a then b; its Lyndon word is a node of period = length in
+    the prenecklace walk of `enumerate_classes_by_trace`, here down to
+    max_syllables // 2 letters.  Rows are listed by length, then
+    lexicographically.  Hyperbolicity is a word fact: a cyclically reduced word
+    is parabolic only when a rotation is a cusp word (`Element.classify`), here
+    a power of the letter S U or S^(p-1) U^(q-1), and a Lyndon word of two or
+    more letters is no power of one letter, so only those two words are dropped.
+    Psi, pq - qa - pb per letter (`syllable_Psi`), is summed down the walk; the
+    trace is the float shadow's (`Element.float_trace`), folded once per row.
     """
     if max_syllables < 2:
         raise DomainError("max_syllables must be >= 2")
     p, q = params.p, params.q
     letters = [(Syllable("S", a), Syllable("U", b)) for a in range(1, p) for b in range(1, q)]
-    lyndon = sorted(_lyndon_words(len(letters), max_syllables // 2), key=len)
-    els = (Element(params, GroupWord(1, tuple(s for i in w for s in letters[i])), _normalized=True) for w in lyndon)
-    hyp = [el for el in els if el.classify() == "hyperbolic"]
-    entries = [_class_entry(el.word, el.float_trace(), syllable_Psi(el.word.syllables, p, q), p * q) for el in hyp]
+    steps = [p * q - q * s.exp - p * u.exp for s, u in letters]
+    last, depth, entries = len(letters) - 1, max_syllables // 2, []
+    stack = [(letters[i], (i,), 1, steps[i]) for i in range(last, -1, -1)]
+    while stack:
+        sylls, word, per, Psi = stack.pop()
+        n = len(word)
+        if per == n and (n > 1 or 0 < word[0] < last):
+            w = GroupWord(1, sylls)
+            entries.append(_class_entry(w, Element(params, w, _normalized=True).float_trace(), Psi, p * q))
+        if n < depth:
+            head = word[n - per]
+            stack += [(sylls + letters[i], word + (i,), n + 1, Psi + steps[i]) for i in range(last, head, -1)]
+            stack.append((sylls + letters[head], word + (head,), per, Psi + steps[head]))
+    entries.sort(key=lambda e: len(e.word.syllables))
     return ClassTable(p=p, q=q, entries=tuple(entries))
 
 

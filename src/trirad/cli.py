@@ -196,7 +196,7 @@ def cmd_stats(args):
     if args.max_trace is not None:
         table = analytic.enumerate_classes_by_trace(params, args.max_trace)
     else:
-        table = analytic.enumerate_classes(params, args.max_syllables)
+        table = analytic.enumerate_classes(params, 12 if args.max_syllables is None else args.max_syllables)
     st = analytic.distribution_stats(table, a, b)
     payload = {
         "pq": [params.p, params.q],
@@ -350,8 +350,9 @@ def build_parser():
 
     sp = sub.add_parser("stats", help="arctan distribution statistics")
     common(sp, word=False, matrix=False)
-    sp.add_argument("--max-syllables", type=int, default=12)
-    sp.add_argument("--max-trace", type=int, help="use the trace-complete (2,3) population instead")
+    bound = sp.add_mutually_exclusive_group()  # a default of 12 would let an explicit 12 pass with --max-trace
+    bound.add_argument("--max-syllables", type=int, help="syllable bound of the population (default 12)")
+    bound.add_argument("--max-trace", type=int, help="use the trace-complete (2,3) population instead")
     sp.add_argument("--a", type=float)
     sp.add_argument("--b", type=float)
     sp.set_defaults(fn=cmd_stats)

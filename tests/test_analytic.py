@@ -18,6 +18,7 @@ from trirad.analytic import (
     ClassEntry,
     ClassTable,
     GeodesicData,
+    _SYLLABLES_23,
     _arg_delta_reduced,
     _e2_reduced,
     _level_23,
@@ -346,7 +347,7 @@ def _bits(gd):
 
 def test_geodesic_data_from_the_shadow_is_the_exact_path_bit_for_bit(P23, P25, monkeypatch):
     rng = random.Random(417)
-    xs = [_random_primitive_23(P23, rng, n) for n in range(4, 302, 6)]
+    xs = [_random_primitive_23(P23, rng, n) for n in (*range(4, 302, 6), 400, 500, 600)]
     xs.append(_oriented(el(P25, "S * U * S * U^3")))  # not (2,3): the exact path
     exact_reads = []
     float_entries = Matrix2.float_entries
@@ -357,8 +358,15 @@ def test_geodesic_data_from_the_shadow_is_the_exact_path_bit_for_bit(P23, P25, m
         got = geodesic_data(x)
         fell_back.append(len(exact_reads) > before)
         assert _bits(got) == _bits(_exact_geodesic_data(x)), x
-    # the shadow decides the short classes; its bounds pass 1/4 on long ones, which take the exact path
-    assert not any(fell_back[:20]) and any(fell_back[:-1]) and fell_back[-1]
+    # every (2,3) class is read off the word's integer matrix, however long; the (2,5) class reads the exact one
+    assert not any(fell_back[:-1]) and fell_back[-1]
+
+
+def test_the_23_integer_table_is_the_syllable_matrices(P23):
+    for (gen, e), entries in _SYLLABLES_23.items():
+        m = P23.syllable_matrix(gen, e)
+        assert m.entries() == tuple(P23.field.from_rational(v) for v in entries), (gen, e)
+    assert sorted(_SYLLABLES_23) == [("S", 1), ("U", 1), ("U", 2)]
 
 
 def test_quadrature_of_the_round_classes_does_no_exact_multiply(P23, monkeypatch):
@@ -526,6 +534,37 @@ def test_enumerate_classes_matches_the_rotation_key_search(p, q):
     params = get_params(p, q)
     n = SYLLABLE_BOUNDS[(p, q)]
     assert [e.word for e in enumerate_classes(params, n).entries] == _reference_words_by_syllables(params, n)
+
+
+def _necklaces(k, m):
+    """Witt's count of primitive necklaces of length m over k letters: (1/m) sum_{d | m} mu(d) k^(m/d)."""
+
+    def mu(d):
+        out, n, f = 1, d, 2
+        while f * f <= n:
+            if n % f == 0:
+                n //= f
+                if n % f == 0:
+                    return 0
+                out = -out
+            f += 1
+        return -out if n > 1 else out
+
+    return sum(mu(d) * k ** (m // d) for d in range(1, m + 1) if m % d == 0) // m
+
+
+@pytest.mark.parametrize(
+    "p,q,n,rows",
+    [(2, 3, 30, 4718), (2, 5, 12, 962), (2, 7, 10, 1958), (3, 4, 10, 1958), (3, 5, 10, 7762), (4, 5, 8, 5796), (5, 7, 6, 4898)],
+)
+def test_enumerate_classes_counts_every_primitive_necklace(p, q, n, rows):
+    # all Lyndon words over the (p-1)(q-1) letters but the two one-letter cusp words,
+    # counted from outside the walk, at bounds past the rotation-key reference
+    entries = enumerate_classes(get_params(p, q), n).entries
+    k = (p - 1) * (q - 1)
+    assert len(entries) == sum(_necklaces(k, m) for m in range(1, n // 2 + 1)) - 2 == rows
+    keys = [(len(e.word.syllables), e.word.syllables) for e in entries]
+    assert all(u < v for u, v in zip(keys, keys[1:]))
 
 
 def _element_row(x):

@@ -209,6 +209,18 @@ def test_stats_bad_bounds_exit_4(capsys, argv):
     assert code == 4 and d["error"] == "DomainError"
 
 
+@pytest.mark.parametrize("n", ["8", "12"])
+def test_stats_takes_one_population_bound(capsys, n):
+    # --max-syllables next to --max-trace was dropped without a word; an explicit
+    # 12, the value used when neither flag is given, is refused like any other
+    with pytest.raises(SystemExit) as e:
+        main(["stats", "--pq", "2,5", "--max-syllables", n, "--max-trace", "100"])
+    assert e.value.code == 2 and "not allowed with argument" in capsys.readouterr().err
+    code, d = run_json(capsys, "stats", "--pq", "2,5")
+    code12, d12 = run_json(capsys, "stats", "--pq", "2,5", "--max-syllables", "12")
+    assert code == code12 == 0 and d == d12 and d["count"] == 962
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_verify_needs_a_positive_count(capsys, count):
     code, d = run_json(capsys, "verify", "--pq", "2,3", "--count", count)

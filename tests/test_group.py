@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PQ_LIST, random_element
-from trirad import group
+from trirad import group, words
 from trirad.errors import DomainError, NotInGroupError, NumericError
 from trirad.exactnum import get_field, sign
 from trirad.group import (
@@ -328,13 +328,16 @@ def test_float_decided_signs_match_exact(p, q, rng):
                 assert k + math.frexp(max(map(abs, t4)))[1] > 1024, w
 
 
-def _count_calls(monkeypatch, owner, name):
+def _count_calls(monkeypatch, owner, name, refuse=False):
     """Count the calls of owner.name made through any binding of it in owner or
-    in a loaded trirad module; returns the one-element counter."""
+    in a loaded trirad module; returns the one-element counter.  With refuse,
+    every such call raises AssertionError instead."""
     orig, count = getattr(owner, name), [0]
 
     def counted(*args):
         count[0] += 1
+        if refuse:
+            raise AssertionError(f"{name} called")
         return orig(*args)
 
     mods = [m for k, m in list(sys.modules.items()) if k.split(".")[0] == "trirad"]
@@ -365,7 +368,8 @@ def test_each_element_folds_its_shadow_once(psi_first, rng, monkeypatch):
 
 def test_class_rows_fold_each_syllable_once(P23, monkeypatch):
     # trace-bounded rows come from the walk alone: no Element and no shadow;
-    # syllable-bounded rows fold each hyperbolic class's shadow once
+    # syllable-bounded rows fold each hyperbolic class's shadow once, and read
+    # hyperbolicity off the Lyndon word, with no classification or cyclic reduction
     from trirad.analytic import enumerate_classes, enumerate_classes_by_trace
 
     count = _count_calls(monkeypatch, group, "_fmul")
@@ -374,7 +378,9 @@ def test_class_rows_fold_each_syllable_once(P23, monkeypatch):
     assert len(table.entries) == 29 and count[0] == made[0] == 0
     monkeypatch.undo()  # the Element counter takes no keyword arguments
     count = _count_calls(monkeypatch, group, "_fmul")
-    for p, q, n in ((2, 3, 12), (3, 4, 6), (5, 7, 4)):
+    _count_calls(monkeypatch, Element, "classify", refuse=True)
+    _count_calls(monkeypatch, words, "cyclic_reduce", refuse=True)
+    for p, q, n in ((2, 3, 12), (2, 5, 6), (2, 7, 6), (3, 4, 6), (3, 5, 4), (4, 5, 4), (5, 7, 4)):
         count[0] = 0
         table = enumerate_classes(get_params(p, q), n)
         assert count[0] == sum(len(e.word.syllables) for e in table.entries) > 0
@@ -416,7 +422,7 @@ def test_only_group_touches_the_shadow_internals():
             if isinstance(node, ast.ImportFrom) and node.module == "trirad.group":
                 assert not [a.name for a in node.names if a.name.startswith("_")], path.name
             if isinstance(node, ast.Attribute):
-                assert node.attr not in ("_fmat", "_prefix"), path.name
+                assert node.attr not in ("fmat", "_fmat", "_prefix"), path.name
 
 
 def _scaled(shadow, n):
