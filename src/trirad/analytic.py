@@ -7,16 +7,16 @@ to check the cycle-integral and winding-number formulas against the exact psi,
 along one period of the closed geodesic, centred on the top of its axis.
 Every node is first moved into the fundamental domain by `_reduce_23`, and E2
 and log Delta come from their values there through their modular laws, so the
-series' argument has Im >= sqrt(3)/2 whatever the geodesic, and the q-series
-is cut at the N terms where e^(-2 pi N sqrt(3)/2) <= tol/1000 (plus 10): 13
-terms at tol 1e-6, 14 at 1e-8, not a count set by the least Im z on the
-geodesic.  Both checks sample the period on one ladder (`_ladder_23`): the 65
-nodes t = L (k/64 - 1/2), L = log xi, then n = 128, 256, ... intervals, each
-level taking only its new midpoints.  The first level, with each node's
-reduction and q, is kept with the element, so the two checks share its 65
-`_reduce_23` calls and exps.  The work is done one node at a time in `math`
-and `cmath`: a level is a list of per-node tuples and each series a Horner
-loop of 13-14 terms, too small for an array library to pay for its import.
+series' argument has Im >= sqrt(3)/2 whatever the geodesic, and 7 terms of
+each q-series leave a tail below an ulp of E2 there (`_e2_reduced`), whatever
+the tolerance and the least Im z on the geodesic.  Both checks sample the
+period on one ladder (`_ladder_23`) of n = 16, 32, 64, 128, ... intervals,
+nodes t = L (k/n - 1/2), L = log xi, each level evaluating only its new
+nodes.  The nodes of n = 64, with each node's reduction and q, are kept with
+the element: the levels 16, 32 and 64 read them, and the two checks share
+their 65 `_reduce_23` calls and exps.  The work is done one node at a time in
+`math` and `cmath`: a level is a list of per-node tuples and each series a
+Horner loop of 7 terms, too small for an array library to pay for its import.
 Class tables come from prenecklace walks over the words, by syllables for any
 (p,q) and by trace at (2,3) only; the arctan statistics work for any (p,q).
 """
@@ -130,11 +130,6 @@ def eisenstein_E2(z: complex, N: int = 200) -> complex:
     return 1.0 - 24.0 * _q_series(z, N, 1)
 
 
-def _truncation_for(tol: float) -> int:
-    """Terms N with e^(-2 pi N Im z) <= tol/1000 on the fundamental domain (Im z >= sqrt(3)/2), plus 10."""
-    return max(int((math.log(1e3) - math.log(tol)) / (math.pi * math.sqrt(3.0))), 0) + 10
-
-
 # `_reduce_23` inverts a node when |z| < 1 - 2^-51, so the rounding of the
 # inversion cannot undo it; it gives up after _MAX_PASSES passes, or when an
 # entry of gamma, held in a float, could pass 2^53
@@ -155,7 +150,7 @@ def _reduce_23(z: complex):
     Where the loop stops: the translation z - n with |z - n| <= 1/2 is exact
     (Sterbenz), so |Re gz| <= 1/2 exactly, and |gz| >= 1 - 2^-51 up to the
     last bit of abs; hence Im gz >= sqrt(3)/2 - 2^-50 however the rounding
-    moved the node, and `_truncation_for` may count on Im gz >= sqrt(3)/2.
+    moved the node, and `_e2_reduced` may count on Im gz >= sqrt(3)/2.
     Cost: after a translation |Re z| <= 1/2, so while Im z <= 1/2 an inversion
     at least doubles Im z, and a node needs at most about log2(1/Im z) + 3
     passes (about one per decade of Im z on random nodes).  NumericError after
@@ -192,7 +187,9 @@ def _reduce_23(z: complex):
 
 # The two per-node series below run Horner's rule inline on the node's q =
 # e^(2 pi i gz), over a table of `_sigma_tables(N)` that the caller looks up
-# once: `_reduce_23` has checked the node, and Im gz >= sqrt(3)/2.
+# once: `_reduce_23` has checked the node, and Im gz >= sqrt(3)/2.  The
+# quadrature and the winding take N = _TERMS.
+_TERMS = 7
 
 
 def _e2_reduced(z: complex, sigma_1, reduced):
@@ -200,6 +197,14 @@ def _e2_reduced(z: complex, sigma_1, reduced):
 
     sigma_1 = `_sigma_tables(N)[0]`, and reduced = (gz, c, d, q): (gz, c, d) =
     `_reduce_23(z)` and q = e^(2 pi i gz).
+
+    Why N = _TERMS = 7 is enough: Im gz >= sqrt(3)/2 - 2^-50 (`_reduce_23`),
+    so |q| <= r = e^(-pi sqrt(3)) (1 + 6e-15) = 0.0043334, and with
+    sigma_1(n) <= n (1 + ln n) the tail is 24 sum_{n>7} sigma_1(n) r^n <=
+    7.4e-17 (the exact sigmas give 4.5e-17).  |E2(gz)| >= 1 - 24 sum_n
+    sigma_1(n) r^n > 0.89, so the tail is below an ulp of E2(gz), 2^-53 or
+    more.  sigma_{-1} <= sigma_1, so the same bound holds for log Delta's
+    series (`_arg_delta_reduced`).
     """
     gz, c, d, q = reduced
     total = 0j
@@ -222,7 +227,7 @@ def _arg_delta_reduced(z: complex, sigma_m1, reduced):
 
 
 def _level_23(gd: GeodesicData, ss):
-    """Yield the node (z, iy, (gz, c, d, q)) at t = L (s - 1/2), L = log xi, for each s in ss (0 <= s <= 1).
+    """The nodes (z, iy, (gz, c, d, q)) at t = L (s - 1/2), L = log xi, for the s in ss (0 <= s <= 1), as a list.
 
     gd = `_geodesic_data(el)`, iy = i e^(2t), (gz, c, d) = `_reduce_23(z)` and
     q = e^(2 pi i gz), the one exp that E2 and log Delta at the node share
@@ -237,25 +242,36 @@ def _level_23(gd: GeodesicData, ss):
     """
     L, w, w_prime = math.log(gd.xi), gd.w, gd.w_prime
     exp, cexp, two_pi_i = math.exp, cmath.exp, 2j * math.pi
+    nodes = []
     for s in ss:
         iy = complex(0.0, exp(2.0 * (L * (s - 0.5))))
         z = (w * iy + w_prime) / (iy + 1.0)
         gz, c, d = _reduce_23(z)
-        yield z, iy, (gz, c, d, cexp(two_pi_i * gz))
+        nodes.append((z, iy, (gz, c, d, cexp(two_pi_i * gz))))
+    return nodes
 
 
 def _ladder_23(el: Element, g):
-    """Yield g(gd, nodes), a list of one value per node, on each level of the ladder (module docstring), without end.
+    """Yield the values on n = 16, 32, 64, ... intervals (module docstring), a list of one per node, without end.
 
-    gd = `_geodesic_data(el)`, and the nodes are `_level_23`'s: the 65 of the
-    first level, kept with el as a list, then each level's new midpoints.
+    g(gd, nodes) returns one value per node, gd = `_geodesic_data(el)`, and
+    the nodes are `_level_23`'s.  The 65 nodes of n = 64 are reduced once and
+    kept with el as a list; n = 16 reads every 4th of them, n = 32 adds the
+    rest of the even ones and n = 64 the odd ones.  Each finer level adds its
+    new midpoints.  So g sees each node once, and a caller that stops at n
+    has paid for n + 1 nodes of g.
     """
     first = el._sym.get("level_23")
     if first is None:
         gd = _geodesic_data(el)
-        first = el._sym["level_23"] = gd, list(_level_23(gd, [k / 64 for k in range(65)]))
+        first = el._sym["level_23"] = gd, _level_23(gd, [k / 64 for k in range(65)])
     gd, nodes = first
-    values = g(gd, nodes)
+    values = [None] * 65
+    values[::4] = g(gd, nodes[::4])
+    yield values[::4]
+    values[2::4] = g(gd, nodes[2::4])
+    yield values[::2]
+    values[1::2] = g(gd, nodes[1::2])
     while True:
         yield values
         n = len(values) - 1
@@ -275,13 +291,16 @@ def cycle_integral_23(el: Element, tol: float = 1e-6) -> CycleIntegralResult:
     """Quadrature of E2* along the closed geodesic; should return psi (r=1).
 
     f(t) = E2*(z(t)) z'(t) on the centred period [-L/2, L/2], L = log xi, takes
-    E2 from each node's image in the fundamental domain (`_e2_reduced`, N =
-    `_truncation_for(tol)` terms).  f is L-periodic (el z(t) = z(t + L), and
-    E2*(z) dz is invariant) and analytic for |Im t| < pi/4, where z(t) stays in
-    H, so the trapezoid sum T_n on n intervals errs by O(e^(-pi^2 n / (2L)))
-    (Trefethen and Weideman, SIAM Rev. 56, 2014).  T_n is returned at the first
-    level of the ladder with |T_n - T_(n/2)| <= tol/20; NumericError past 2048
-    intervals, DomainError unless tol is finite and > 0.
+    E2 from each node's image in the fundamental domain (`_e2_reduced`, 7
+    terms whatever tol).  f is L-periodic (el z(t) = z(t + L), and E2*(z) dz
+    is invariant) and analytic for |Im t| < pi/4, where z(t) stays in H, so the
+    trapezoid sum T_n on n intervals errs by O(e^(-pi^2 n / (2L))) (Trefethen
+    and Weideman, SIAM Rev. 56, 2014).  T_n is returned at the first level of
+    the ladder, from n = 16, with |T_n - T_(n/2)| <= tol/20: on the short
+    classes that is 16 or 32 intervals, 17 or 33 evaluations of E2.  The
+    real part of the accepted T_n is then summed again with one rounding
+    (`math.fsum`), so the value carries the nodes' float error, not the sum's.
+    NumericError past 2048 intervals, DomainError unless tol is finite and > 0.
 
     Length domain, at the default tol: every primitive class of at most 80
     syllables.  n grows only with the period; what grows with the class is the
@@ -299,7 +318,7 @@ def cycle_integral_23(el: Element, tol: float = 1e-6) -> CycleIntegralResult:
     if not 0.0 < tol < math.inf:
         raise DomainError("tol must be finite and > 0")
     _check_23(el, "cycle_integral_23", primitive=True)
-    sigma_1 = _sigma_tables(_truncation_for(tol))[0]
+    sigma_1 = _sigma_tables(_TERMS)[0]
 
     def f(gd, nodes):  # L f(t) at each node, so that T_n is the mean of the values, ends halved
         span, L, pi = gd.w - gd.w_prime, math.log(gd.xi), math.pi
@@ -317,8 +336,9 @@ def cycle_integral_23(el: Element, tol: float = 1e-6) -> CycleIntegralResult:
             raise NumericError("quadrature did not converge within the requested tolerance")
     if abs(total.imag) > 100 * tol:
         raise NumericError("cycle integral has a non-negligible imaginary part")
+    value = (math.fsum([v.real for v in fs]) - 0.5 * (fs[0].real + fs[-1].real)) / (len(fs) - 1)
     psi_ = rademacher_Psi(el)
-    return CycleIntegralResult(value=total.real, psi=psi_, residual=abs(total.real - psi_))
+    return CycleIntegralResult(value=value, psi=psi_, residual=abs(value - psi_))
 
 
 def winding_number_23(el: Element) -> int:
@@ -333,21 +353,25 @@ def winding_residual_23(el: Element):
     The phase of Delta at each node comes from its image in the fundamental
     domain (`_arg_delta_reduced`) and is right only modulo 2 pi; the wrapped
     steps between neighbours absorb that, summed at the first level of the
-    ladder (`_ladder_23`) where all are below pi/2.  NumericError when no
-    level up to 2^18 intervals has every step below pi/2.
+    ladder (`_ladder_23`) from n = 64 intervals where all are below pi/2: the
+    levels 16 and 32 only evaluate their share of the 65 nodes.  NumericError
+    when no level up to 2^18 intervals has every step below pi/2.
     """
     _check_23(el, "winding_residual_23")
-    sigma_m1 = _sigma_tables(_truncation_for(1e-8))[1]
+    sigma_m1 = _sigma_tables(_TERMS)[1]
 
     def phases(gd, nodes):
         # j(g_t, i) = (e^t i + e^-t)/sqrt(span), of phase arctan(e^(2t)); constant |.| factors do not move it
         atan = math.atan
         return [_arg_delta_reduced(z, sigma_m1, reduced) - 12.0 * atan(iy.imag) for z, iy, reduced in nodes]
 
+    pi, two_pi = math.pi, 2 * math.pi
     for ph in _ladder_23(el, phases):
-        wrapped = [(b - a + math.pi) % (2 * math.pi) - math.pi for a, b in zip(ph, ph[1:])]
-        if max(map(abs, wrapped)) < math.pi * 0.5:
-            turns = sum(wrapped) / (2 * math.pi)
+        if len(ph) < 65:
+            continue
+        wrapped = [(b - a + pi) % two_pi - pi for a, b in zip(ph, ph[1:])]
+        if max(map(abs, wrapped)) < pi * 0.5:
+            turns = sum(wrapped) / two_pi
             return round(turns), abs(turns - round(turns))
         if len(ph) > 1 << 18:
             raise NumericError("undersampled winding path: a phase step >= pi/2 at 2^18 intervals")

@@ -177,8 +177,10 @@ def cmd_enumerate(args):
     params = _parse_pq(args.pq)
     table = analytic.enumerate_classes(params, args.max_syllables)
     rows = table.to_rows()
-    header = ["word", "trace_numeric", "psi", "Psi", "length"]
-    csv_rows = [header] + [[r[h] for h in header] for r in rows]
+    csv_rows = None
+    if args.format == "csv":
+        header = ["word", "trace_numeric", "psi", "Psi", "length"]
+        csv_rows = [header] + [[r[h] for h in header] for r in rows]
     _emit(args, {"pq": [params.p, params.q], "count": len(rows), "classes": rows}, csv_rows)
     return 0
 
@@ -217,6 +219,8 @@ def cmd_numeric_check(args):
     params = _parse_pq(args.pq)
     if (params.p, params.q) != (2, 3):
         raise DomainError("numeric-check runs at (p,q) = (2,3) only")
+    if not 0.0 < args.tol < math.inf:  # also when the bound leaves no class to check
+        raise DomainError("--tol must be finite and > 0")
     table = analytic.enumerate_classes(params, args.max_syllables)
     rows = []
     failures = 0

@@ -19,12 +19,12 @@ from trirad.analytic import (
     ClassTable,
     GeodesicData,
     _SYLLABLES_23,
+    _TERMS,
     _arg_delta_reduced,
     _e2_reduced,
     _level_23,
     _reduce_23,
     _sigma_tables,
-    _truncation_for,
     cycle_integral_23,
     distribution_stats,
     eisenstein_E2,
@@ -191,12 +191,19 @@ def test_cycle_integral_rejects_an_invalid_tol(P23, tol):
 
 def test_cycle_integral_extreme_tols(P23):
     x = el(P23, "- U * S * U^2 * S * U^2 * S")
-    # a subnormal tol sizes the series without overflow, and no sum reaches it
+    # no sum reaches a subnormal tol
     with pytest.raises(NumericError):
         cycle_integral_23(x, tol=1e-320)
-    # a huge one still takes the 10 extra terms
-    assert _truncation_for(1e300) == 10
     assert cycle_integral_23(x, tol=1e300).psi == -1
+
+
+def test_the_series_length_does_not_depend_on_tol(P23, monkeypatch):
+    lengths = []
+    e2 = trirad.analytic._e2_reduced
+    monkeypatch.setattr(trirad.analytic, "_e2_reduced", lambda z, sigma_1, reduced: lengths.append(len(sigma_1)) or e2(z, sigma_1, reduced))
+    for tol in (1e300, 1e-2, 1e-6, 1e-12):
+        cycle_integral_23(el(P23, "- U * S * U^2 * S * U^2 * S"), tol=tol)
+    assert set(lengths) == {_TERMS} == {7}
 
 
 def _oriented(x):
@@ -276,9 +283,8 @@ def _reduced(z):
 
 
 def test_reduced_series_match_the_direct_series():
-    assert (_truncation_for(1e-6), _truncation_for(1e-8)) == (13, 14)
     zs, _ = _reduction_nodes(random.Random(7))
-    sigma_1, sigma_m1 = _sigma_tables(_truncation_for(1e-8))
+    sigma_1, sigma_m1 = _sigma_tables(_TERMS)
     for z in zs:
         reduced = _reduced(z)
         # 1000 terms make the direct tails negligible at Im z >= 0.01
@@ -286,6 +292,26 @@ def test_reduced_series_match_the_direct_series():
         assert abs(_e2_reduced(z, sigma_1, reduced) - direct_e2) <= 1e-10 * max(1.0, abs(direct_e2)), z
         gap = (_arg_delta_reduced(z, sigma_m1, reduced) - direct_ld.imag + math.pi) % (2 * math.pi) - math.pi
         assert abs(gap) <= 1e-10, z
+
+
+def test_seven_terms_leave_a_tail_below_an_ulp_on_the_fundamental_domain():
+    # `_e2_reduced`'s bound: 24 sum_{n>7} n (1 + ln n) r^n, r = e^(-2 pi Im gz) at Im gz = sqrt(3)/2 - 2^-50
+    r = math.exp(-2 * math.pi * (math.sqrt(3) / 2 - 2.0**-50))
+    bound = 24 * sum(n * (1 + math.log(n)) * r**n for n in range(_TERMS + 1, 200))
+    assert bound <= 7.4e-17
+    # nodes of the domain, gamma = I: the corners rho and rho + 1, i, and random nodes as `_reduce_23` leaves them
+    rng = random.Random(29)
+    rho = cmath.exp(2j * math.pi / 3)
+    nodes = [rho, rho + 1, 1j] + [_reduce_23(complex(rng.uniform(-3, 3), 10 ** rng.uniform(-3, 0.5)))[0] for _ in range(3000)]
+    assert abs(rho.imag - math.sqrt(3) / 2) <= 2.0**-50
+    seven, forty = _sigma_tables(_TERMS), _sigma_tables(40)
+    for gz in nodes:
+        at_gz = (gz, 0.0, 1.0, cmath.exp(2j * math.pi * gz))
+        # the two sums differ by the tail, and each final sum is rounded once
+        e2, e2_40 = _e2_reduced(gz, seven[0], at_gz), _e2_reduced(gz, forty[0], at_gz)
+        assert abs(e2 - e2_40) <= bound + math.ulp(abs(e2_40)), gz
+        arg, arg_40 = _arg_delta_reduced(gz, seven[1], at_gz), _arg_delta_reduced(gz, forty[1], at_gz)
+        assert abs(arg - arg_40) <= bound + math.ulp(abs(arg_40)), gz
 
 
 def _random_primitive_23(P23, rng, syllables):
@@ -661,7 +687,7 @@ def _gauss_legendre_cycle_integral(x, order=256):
     iy = 1j * np.exp(2.0 * half * nodes)
     z = (gd.w * iy + gd.w_prime) / (iy + 1.0)
     dz = 2.0 * iy * (gd.w - gd.w_prime) / (iy + 1.0) ** 2
-    sigma_1 = _sigma_tables(_truncation_for(1e-6))[0]
+    sigma_1 = _sigma_tables(13)[0]  # an independent truncation of the series
     e2 = half * np.sum(weights * np.array([_e2_reduced(zk, sigma_1, _reduced(zk)) for zk in z.tolist()]) * dz)
     return (complex(e2) - (6.0 / math.pi) * (math.atan(gd.xi) - math.atan(1.0 / gd.xi))).real
 
@@ -704,7 +730,7 @@ def test_round_classes_take_one_reduction_and_no_gauss_legendre_table(P23):
 
 def test_integrand_is_periodic_on_long_classes(P23):
     rng = random.Random(2120)
-    sigma_1 = _sigma_tables(_truncation_for(1e-6))[0]
+    sigma_1 = _sigma_tables(13)[0]
     for n in range(20, 52, 2):
         for _ in range(3):
             gd = geodesic_data(_random_primitive_23(P23, rng, n))
@@ -720,7 +746,7 @@ def _complex_log_winding(x):
     gd = geodesic_data(x)
     s = np.linspace(0.0, 1.0, 1024)
     t = math.log(gd.xi) * (s - 0.5)
-    N = _truncation_for(1e-8)
+    N = 14  # an independent truncation of the series
     ph = np.array([log_delta_23(gz, N).imag - 12.0 * cmath.phase(c * z + d) for z, _, (gz, c, d, _) in _level_23(gd, s.tolist())])
     ph -= 12.0 * np.imag(np.log(np.exp(t) * 1j + np.exp(-t)))
     wrapped = (np.diff(ph) + np.pi) % (2 * np.pi) - np.pi
@@ -745,7 +771,7 @@ def _winding_from_1024_samples(x):
     """The winding as laddered before the shared first level: 1024 samples, all evaluated again at each doubling."""
     gd = geodesic_data(x)
     n = 1024
-    sigma_m1 = _sigma_tables(_truncation_for(1e-8))[1]
+    sigma_m1 = _sigma_tables(14)[1]  # an independent truncation of the series
     while True:
         nodes = list(_level_23(gd, np.linspace(0.0, 1.0, n).tolist()))
         ph = np.array([_arg_delta_reduced(z, sigma_m1, reduced) for z, _, reduced in nodes])
@@ -794,3 +820,27 @@ def test_cycle_integral_and_winding_share_one_reduction_of_the_first_level(P23, 
         assert "level_23" in x._sym
         for y in (-x, x.inverse(), primitive_root(x)[0]):
             assert "level_23" not in y._sym, (x, y)
+
+
+def test_cycle_integral_accepts_at_16_or_32_intervals_and_the_winding_from_64(P23, monkeypatch):
+    e2, arg = trirad.analytic._e2_reduced, trirad.analytic._arg_delta_reduced
+    e2_nodes, arg_nodes = [], []
+    monkeypatch.setattr(trirad.analytic, "_e2_reduced", lambda z, sigma, reduced: e2_nodes.append(z) or e2(z, sigma, reduced))
+    monkeypatch.setattr(trirad.analytic, "_arg_delta_reduced", lambda z, sigma, reduced: arg_nodes.append(z) or arg(z, sigma, reduced))
+    counts = []
+    for x in _round_classes(P23):
+        e2_nodes.clear()
+        assert cycle_integral_23(x).residual < 1e-10, x
+        counts.append(len(e2_nodes))
+        assert len(set(e2_nodes)) == len(e2_nodes), x  # no node evaluated twice
+        arg_nodes.clear()
+        winding_residual_23(x)
+        assert len(arg_nodes) >= 65, x
+    # 7 of the 21 round classes accept at 16 intervals and 14 at 32
+    assert sorted(counts) == [17] * 7 + [33] * 14
+    # with Delta's phase held at 0 every step passes the pi/2 test at 16 or 32 intervals, yet the winding reads 65 nodes
+    monkeypatch.setattr(trirad.analytic, "_arg_delta_reduced", lambda z, sigma, reduced: arg_nodes.append(z) or 0.0)
+    for x in _round_classes(P23):
+        arg_nodes.clear()
+        winding_residual_23(x)
+        assert len(arg_nodes) == 65, x

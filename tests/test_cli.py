@@ -1,10 +1,12 @@
 """CLI surface: JSON payloads, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import trirad
+import trirad.cli
+from trirad import linking
 from trirad.cli import main
 from conftest import PQ_LIST, random_element
 from trirad.group import Element, cocycle_W_el, get_params
@@ -256,6 +260,14 @@ def test_numeric_check_invalid_tol_exits_4(capsys, tol):
     assert code == 4 and d["error"] == "DomainError"
 
 
+def test_numeric_check_refuses_an_invalid_tol_with_no_class_to_check(capsys):
+    # 2 syllables hold no primitive hyperbolic class, so no quadrature would see the tol
+    code, d = run_json(capsys, "numeric-check", "--pq", "2,3", "--max-syllables", "2")
+    assert code == 0 and d["classes"] == []
+    code, d = run_json(capsys, "numeric-check", "--pq", "2,3", "--max-syllables", "2", "--tol=-1")
+    assert code == 4 and d["error"] == "DomainError"
+
+
 def test_verify_failure_exits_9_under_optimize():
     # checks must not be asserts, which python -O strips
     broken = (
@@ -338,3 +350,129 @@ def test_usage_error():
     with pytest.raises(SystemExit) as e:
         main(["symbol", "--pq"])
     assert e.value.code == 2
+
+
+# sha256 of `enumerate --pq 3,4 --max-syllables 6` in each format, taken when the csv rows were built for
+# every format: building them for csv only must leave every output byte for byte
+ENUMERATE_34_SHA256 = {
+    "json": "447e0f8429aecf411cccb6a872e974c6cdd4e171ae1c4cf4c44647853e5ede8f",
+    "csv": "d25988cbdb6e42b598ab484269ca93aceb12ce517dbd242243c1f00e24c90f89",
+    "text": "fcbc743beadc509408cd648ac14dc386a07827ef549f5fe7752cd7540202ba54",
+}
+
+
+def test_enumerate_builds_csv_rows_for_csv_output_only(capsys, monkeypatch):
+    emitted = []
+    emit = trirad.cli._emit
+    monkeypatch.setattr(trirad.cli, "_emit", lambda args, payload, csv_rows=None: emitted.append(csv_rows) or emit(args, payload, csv_rows))
+    for fmt, sha in ENUMERATE_34_SHA256.items():
+        emitted.clear()
+        code, out = run(capsys, "enumerate", "--pq", "3,4", "--max-syllables", "6", "--format", fmt)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == sha, fmt
+        assert (emitted[0] is not None) == (fmt == "csv"), fmt
+
+
+# ---------------------------------------------------------------------------
+# seeded fuzzing of `main`, with README's exit-code table as the oracle
+
+
+def _readme_exit_codes():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("Exit codes:", 1)[1].split("\n\n", 2)[1]
+    return {int(m) for m in re.findall(r"^\| (\d+) \|", table, flags=re.M)}
+
+
+_FUZZ_PQ = [f"{p},{q}" for p, q in PQ_LIST] * 6 + ["11,13", "1,2", "3,3", "2,4", "3,2", "-2,3", "2,3,4", "a,b", " 2 , 3", "2,", ""]
+_FUZZ_TOKENS = ["S", "U", "S^2", "U^2", "S^-1", "U^-3", "S^0", "U^1.5", "S^99999999999", "*", "(", ")", "^", "-", "T", "I"]
+_FUZZ_FLOATS = ["0", "-1", "nan", "inf", "-inf", "1e-300", "1e-30", "1e300", "5e-324", "x"] + ["0.5", "1e-6", "-0.25", "1e-3", "2"] * 2
+_FUZZ_MATRICES = [
+    "2,1;1,1", "1,5;0,1", "-1,0;0,-1", "0,-1;1,0", "5,2;2,1", "1,0;0,1", "-3,-1;-5,-2",
+    "1,0;0,2", "12345678901234567890123,1;0,1", "1,2,3", "a,b;c,d", "1.5,0;0,1", ";", "",
+]
+_FUZZ_COMMANDS = ["symbol", "link", "lift", "normal-form", "code23", "enumerate", "stats", "numeric-check", "verify"]
+
+
+def _fuzz_word(rng):
+    """A word of up to 6 syllables with exponents past the generators' orders, or a soup of the grammar's tokens."""
+    if rng.random() < 0.3:
+        return " ".join(rng.choice(_FUZZ_TOKENS) for _ in range(rng.randint(0, 6)))
+    gens = "SU" if rng.random() < 0.5 else "US"
+    body = " * ".join(f"{gens[i % 2]}^{rng.choice([-7, -2, -1, 1, 2, 3, 4, 9])}" for i in range(rng.randint(1, 6)))
+    return ("- " if rng.random() < 0.3 else "") + body
+
+
+def _fuzz_int(rng, lo, hi):
+    return rng.choice([str(rng.randint(lo, hi))] * 8 + ["x", "1.5"])
+
+
+def _fuzz_argv(rng):
+    """Random argv for one command, with small size bounds so that every run takes milliseconds."""
+    command = rng.choice(_FUZZ_COMMANDS)
+    pq = "2,3" if command in ("code23", "numeric-check") and rng.random() < 0.7 else rng.choice(_FUZZ_PQ)
+    argv = [command, f"--pq={pq}"] if rng.random() < 0.97 else [command]
+    small = pq in ("2,3", "2,5")  # few classes per syllable
+    if command in ("symbol", "link", "lift", "normal-form", "code23"):
+        if rng.random() < 0.8:
+            argv.append(f"--word={_fuzz_word(rng)}")
+        if rng.random() < (0.4 if pq == "2,3" else 0.05):  # --matrix is for (2,3) only
+            argv.append(f"--matrix={rng.choice(_FUZZ_MATRICES)}")
+        if command == "link":
+            argv += ["--variant", rng.choice(linking.VARIANTS + ("bogus",))] * (rng.random() < 0.7)
+            argv += ["--space", rng.choice(["lens", "s3", "bogus"])] * (rng.random() < 0.7)
+    elif command in ("enumerate", "stats"):
+        bound = rng.choice(["syllables", "syllables", "trace", "both", "none"])
+        if bound == "none" and not small:
+            bound = "syllables"
+        if bound in ("syllables", "both"):
+            argv += ["--max-syllables", _fuzz_int(rng, -3, 8 if small else 4)]
+        if bound in ("trace", "both") and command == "stats":
+            argv += ["--max-trace", _fuzz_int(rng, -5, 40)]
+        if command == "stats":
+            argv += [f"--a={rng.choice(_FUZZ_FLOATS)}"] * (rng.random() < 0.5)
+            argv += [f"--b={rng.choice(_FUZZ_FLOATS)}"] * (rng.random() < 0.5)
+    elif command == "numeric-check":
+        argv += ["--max-syllables", _fuzz_int(rng, -1, 8)] * (rng.random() < 0.8)
+        argv += [f"--tol={rng.choice(_FUZZ_FLOATS + ['1e-30'] * 4)}"] * (rng.random() < 0.5)  # 1e-30: no sum reaches it
+    else:  # verify
+        argv += ["--count", _fuzz_int(rng, -3, 3)]  # the default count is 500
+        argv += ["--seed", _fuzz_int(rng, -5, 10**6)] * (rng.random() < 0.5)
+    if rng.random() < 0.5:
+        argv += ["--format", rng.choice(["json"] * 4 + ["text", "csv", "xml"])]
+    return argv
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_fuzzed_argv_exit_with_a_documented_code_and_strict_json(capsys):
+    codes = _readme_exit_codes()
+    assert codes == {0, 2, 3, 4, 5, 6, 7, 8, 9}
+    rng = random.Random(2029)
+    problems, seen = [], set()
+    for _ in range(600):
+        argv = _fuzz_argv(rng)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        except Exception as exc:  # noqa: BLE001 - an escape is what this test looks for
+            problems.append((argv, f"escaped: {exc!r}"))
+            capsys.readouterr()
+            continue
+        out = capsys.readouterr().out
+        seen.add(code)
+        if code not in codes:
+            problems.append((argv, f"exit code {code}"))
+        elif code != 2 and (code != 0 or "--format" not in argv or argv[argv.index("--format") + 1] == "json"):
+            # exit 0 in json, and every error payload, parse as strict JSON
+            try:
+                _strict_json(out)
+            except ValueError as exc:
+                problems.append((argv, f"not strict JSON: {exc}"))
+    assert not problems, problems[:5]
+    # the draws reach success, usage, syntax, domain, precondition and numeric failures
+    assert {0, 2, 3, 4, 5, 6} <= seen, seen
