@@ -39,7 +39,7 @@ from typing import NamedTuple
 from trirad import exactnum, words
 from trirad.errors import DomainError, InternalInconsistencyError, NotInGroupError, NumericError
 from trirad.exactnum import AlgebraicNumber, chebyshev_C_2x, sign
-from trirad.words import GroupWord, Syllable, cyclic_reduce, minimal_period, multiply, normal_form
+from trirad.words import GroupWord, Syllable, cyclic_reduce, minimal_period, multiply, normal_form, normal_inverse
 
 
 class Matrix2(NamedTuple):
@@ -259,7 +259,8 @@ class Element:
         return Element(self.params, multiply(self.word, other.word, self.params.p, self.params.q), _normalized=True)
 
     def inverse(self) -> "Element":
-        return Element(self.params, self.word.inverse())
+        """self^-1, written in normal form by `words.normal_inverse` (G^-e = -G^(n-e)), with no normal_form pass."""
+        return Element(self.params, normal_inverse(self.word, self.params.p, self.params.q), _normalized=True)
 
     def __neg__(self):
         """-self; a cached cyclic reduction carries over, since -(g c g^-1) = g (-c) g^-1."""
@@ -274,16 +275,15 @@ class Element:
         """self^n = g c^n g^-1 from the cached cyclic reduction self = g c g^-1.
 
         A cyclically reduced c of two or more syllables starts and ends with
-        different generators, so c^n (or (c^-1)^|n|, c^-1 in normal form) is
-        its syllables repeated; one `normal_form` pass then cancels across g
-        and folds a c of at most one syllable (+-I, or a power of S or U), so
-        the cost is linear in |n|.
+        different generators, so c^n (or (c^-1)^|n|, c^-1 from `normal_inverse`)
+        is its syllables repeated; one `normal_form` pass cancels across g and
+        folds a c of at most one syllable (+-I, or a power of S or U): linear in |n|.
         """
         if -1 <= n <= 1:
             return (self.inverse(), Element.identity(self.params), self)[n + 1]
         p, q = self.params.p, self.params.q
         core, g = self.cyclic_reduce()
-        base = core if n > 0 else normal_form(core.inverse(), p, q)
+        base = core if n > 0 else normal_inverse(core, p, q)
         k = abs(n)
         power = GroupWord(base.sign**k, base.syllables * k)
         return Element(self.params, g.concat(power).concat(g.inverse()))

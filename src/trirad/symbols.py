@@ -157,15 +157,20 @@ def syllable_Psi(syllables, p, q) -> int:
     that of the rotation that starts with S.
     """
     k, odd = divmod(len(syllables), 2)
-    if not k or odd or any(g != "SU"[i & 1] or not 0 < e < (p, q)[i & 1] for i, (g, e) in enumerate(syllables)):
-        raise DomainError("syllable_Psi needs a normal-form word S^a1 U^b1 ... S^ak U^bk")
-    return p * q * k + sum(_seed(g, e, p, q) for g, e in syllables)
+    total, pairs = p * q * k, iter(syllables)
+    for (s, a), (u, b) in zip(pairs, pairs):  # the seeds are -q a and -p b
+        if s != "S" or u != "U" or not (0 < a < p and 0 < b < q):
+            break
+        total -= q * a + p * b
+    else:
+        if k and not odd:
+            return total
+    raise DomainError("syllable_Psi needs a normal-form word S^a1 U^b1 ... S^ak U^bk")
 
 
 def dedekind_Phi(el: Element) -> Fraction:
     pq = el.params.p * el.params.q
-    s = _c_sign(el) * el.trace_sign()
-    return Fraction(rademacher_Psi(el)) + Fraction(pq, 2) * s
+    return Fraction(2 * rademacher_Psi(el) + pq * _c_sign(el) * el.trace_sign(), 2)
 
 
 def homogeneous_Psi_h(el: Element) -> int:

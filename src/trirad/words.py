@@ -4,6 +4,10 @@ A group word is a central sign (power of -I extracted) plus a syllable list.
 In normal form, S-exponents lie in 1..p-1, U-exponents in 1..q-1, and adjacent
 syllables alternate generators; this is the unique normal form coming from the
 free-product-with-amalgamation structure Z/2pZ *_{Z/2Z} Z/2qZ.
+
+Each word costs one pass: `normal_form` returns a normal input itself, so
+`multiply` is a copy plus the seam, and `normal_inverse` writes the inverse of
+a normal word in normal form directly.
 """
 
 from __future__ import annotations
@@ -41,36 +45,41 @@ class GroupWord(NamedTuple):
 IDENTITY = GroupWord()
 
 
-def _order(gen, p, q):
-    return p if gen == "S" else q
-
-
 def normal_form(w: GroupWord, p: int, q: int) -> GroupWord:
-    """Canonical form: reduce exponents mod the relation G^n = -I, merge, drop zeros."""
-    sign = w.sign
-    stack = []
+    """Canonical form: reduce exponents mod the relation G^n = -I, merge, drop zeros.
+
+    One pass over a stack: a syllable in range whose generator differs from the
+    top's is pushed as the same object; any other is merged into the top, reduced
+    by G^(kn + e) = (-1)^k G^e and dropped at e = 0.  An input that needs neither
+    merge nor reduction is already normal and is returned itself.
+    """
+    sign, out, changed = w.sign, [], False
     for syl in w.syllables:
-        stack.append(syl)
-        while True:
-            if len(stack) >= 2 and stack[-1].gen == stack[-2].gen:
-                top = stack.pop()
-                prev = stack.pop()
-                stack.append(Syllable(top.gen, prev.exp + top.exp))
-                continue
-            g, e = stack[-1]
-            n = _order(g, p, q)
-            k, e2 = divmod(e, n)
-            if k & 1:
-                sign = -sign
-            if e2 == 0:
-                stack.pop()
-                if not stack:
-                    break
-                continue
-            if e2 != e:
-                stack[-1] = Syllable(g, e2)
-            break
-    return GroupWord(sign, tuple(stack))
+        gen, e = syl
+        n = p if gen == "S" else q
+        if out and out[-1][0] == gen:
+            e += out.pop()[1]
+        elif 0 < e < n:
+            out.append(syl)
+            continue
+        changed = True
+        k, e = divmod(e, n)
+        if k & 1:
+            sign = -sign
+        if e:
+            out.append(Syllable(gen, e))
+    return GroupWord(sign, tuple(out)) if changed else w
+
+
+def normal_inverse(w: GroupWord, p: int, q: int) -> GroupWord:
+    """The inverse of a normal-form word, in normal form, with no `normal_form` pass.
+
+    (sigma s_1...s_k)^-1 = sigma (-1)^k s_k^(n_k - e_k) ... s_1^(n_1 - e_1) for
+    s_j = G^e_j, G of order n_j, because G^-e = G^(n-e) G^-n = -G^(n-e); the
+    exponents n - e stay in 1..n-1 and the reversed syllables still alternate.
+    """
+    inv = tuple(Syllable(g, (p if g == "S" else q) - e) for g, e in reversed(w.syllables))
+    return GroupWord(-w.sign if len(inv) & 1 else w.sign, inv)
 
 
 def multiply(w1: GroupWord, w2: GroupWord, p: int, q: int) -> GroupWord:
@@ -99,7 +108,7 @@ def cyclic_reduce(w: GroupWord, p: int, q: int):
         gen, e = last
         e += sylls[lo].exp
         lo += 1
-        n = _order(gen, p, q)
+        n = p if gen == "S" else q
         if e >= n:
             sign, e = -sign, e - n
         if e:

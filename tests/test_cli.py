@@ -448,13 +448,51 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+def _as_text(payload, indent=""):
+    """The JSON payload rendered as `key: value` lines, a nested object as `key:` and its lines indented."""
+    lines = []
+    for k, v in payload.items():
+        lines += [f"{indent}{k}:", *_as_text(v, indent + "  ")] if isinstance(v, dict) else [f"{indent}{k}: {v}"]
+    return lines
+
+
+def _format_disagreement(argv, code, fmt, out, capsys):
+    """None when a `--format text|csv` run agrees with the same argv under `--format json`, else what differs.
+
+    Where the JSON run exits 0: text lines are its payload as `key: value`, the
+    stats CSV is its keys and values, and csv elsewhere than enumerate and stats
+    exits 4 with the documented DomainError.
+    """
+    i = argv.index("--format")
+    json_argv = argv[:i] + argv[i + 2:]
+    if main(json_argv) != 0:
+        capsys.readouterr()
+        return None
+    payload = _strict_json(capsys.readouterr().out)
+    if fmt == "text":
+        ok = code == 0 and out.splitlines() == _as_text(payload)
+    elif argv[0] == "stats":
+        values = ["" if v is None else str(v) for v in payload.values()]
+        ok = code == 0 and list(csv.reader(io.StringIO(out))) == [list(payload), values]
+    elif argv[0] == "enumerate":
+        ok = code == 0
+    else:
+        refusal = _strict_json(out) if code == 4 else {}
+        ok = refusal.get("error") == "DomainError" and "enumerate and stats" in refusal.get("message", "")
+    return None if ok else f"--format {fmt} disagrees with --format json"
+
+
 def test_fuzzed_argv_exit_with_a_documented_code_and_strict_json(capsys):
     codes = _readme_exit_codes()
     assert codes == {0, 2, 3, 4, 5, 6, 7, 8, 9}
     rng = random.Random(2029)
-    problems, seen = [], set()
-    for _ in range(600):
-        argv = _fuzz_argv(rng)
+    problems, seen, compared = [], set(), set()
+    # the draws reach no successful `stats --format csv`; one of these leaves --a out, one --b
+    fixed = [
+        ["stats", "--pq=2,3", "--max-trace", "20", "--a=0", "--format", "csv"],
+        ["stats", "--pq=2,5", "--max-syllables", "6", "--b=-0.25", "--format", "csv"],
+    ]
+    for argv in fixed + [_fuzz_argv(rng) for _ in range(600)]:
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's usage errors
@@ -465,14 +503,24 @@ def test_fuzzed_argv_exit_with_a_documented_code_and_strict_json(capsys):
             continue
         out = capsys.readouterr().out
         seen.add(code)
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
         if code not in codes:
             problems.append((argv, f"exit code {code}"))
-        elif code != 2 and (code != 0 or "--format" not in argv or argv[argv.index("--format") + 1] == "json"):
+            continue
+        if code != 2 and (code != 0 or fmt == "json"):
             # exit 0 in json, and every error payload, parse as strict JSON
             try:
                 _strict_json(out)
             except ValueError as exc:
                 problems.append((argv, f"not strict JSON: {exc}"))
+                continue
+        if code != 2 and fmt in ("text", "csv"):
+            compared.add((argv[0], fmt, code))
+            problem = _format_disagreement(argv, code, fmt, out, capsys)
+            if problem:
+                problems.append((argv, problem))
     assert not problems, problems[:5]
     # the draws reach success, usage, syntax, domain, precondition and numeric failures
     assert {0, 2, 3, 4, 5, 6} <= seen, seen
+    # and compare text with JSON, the stats CSV, and the csv refusal elsewhere
+    assert {("stats", "csv", 0), ("stats", "text", 0), ("verify", "text", 0), ("symbol", "csv", 4)} <= compared, compared

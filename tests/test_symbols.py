@@ -1,6 +1,10 @@
 """Rademacher symbols: generator values, coboundary laws, (2,3) oracles."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -260,6 +264,33 @@ def test_syllable_Psi_values_and_domain(P23):
     for sylls in bad:
         with pytest.raises(DomainError):
             syllable_Psi(sylls, 2, 3)
+
+
+MALFORMED = {
+    "odd length": (Syllable("S", 1), Syllable("U", 1), Syllable("S", 1)),
+    "empty": (),
+    "U first": (Syllable("U", 1), Syllable("S", 1)),
+    "S exponent 0": (Syllable("S", 0), Syllable("U", 1)),
+    "U exponent 0": (Syllable("S", 1), Syllable("U", 0)),
+    "S exponent p": (Syllable("S", 3), Syllable("U", 1)),
+    "U exponent q": (Syllable("S", 1), Syllable("U", 5)),
+    "negative exponent": (Syllable("S", 1), Syllable("U", 2), Syllable("S", -1), Syllable("U", 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_syllable_Psi_refuses_malformed_words(case):
+    # no assert: the test means the same under python -O
+    with pytest.raises(DomainError):
+        syllable_Psi(MALFORMED[case], 3, 5)
+
+
+def test_syllable_Psi_checks_are_not_asserts():
+    tests = Path(__file__).resolve().parent
+    code = "import sys, test_symbols as t; [t.test_syllable_Psi_refuses_malformed_words(c) for c in t.MALFORMED]; print(sys.flags.optimize)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0 and res.stdout.strip() == "1", res.stdout + res.stderr
 
 
 def test_symbol_report(P23):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PQ_LIST
+from conftest import PQ_LIST, random_element
 from trirad.errors import ParseError
+from trirad.group import Element, get_params
 from trirad.words import (
     IDENTITY,
     GroupWord,
@@ -17,6 +18,7 @@ from trirad.words import (
     minimal_period,
     multiply,
     normal_form,
+    normal_inverse,
     parse_word,
     render_word,
 )
@@ -41,6 +43,65 @@ def test_normal_form_merges_and_reduces():
 def test_normal_form_keeps_alternation():
     w = normal_form(W("S * U^5 * U^3 * S^2"), 3, 5)
     assert w == GroupWord(-1, (Syllable("S", 1), Syllable("U", 3), Syllable("S", 2)))
+
+
+def _stack_normal_form(w, p, q):
+    """The reference: push each syllable, then merge the top two and reduce the top until neither applies."""
+    sign, stack = w.sign, []
+    for syl in w.syllables:
+        stack.append(syl)
+        while True:
+            if len(stack) >= 2 and stack[-1].gen == stack[-2].gen:
+                top, prev = stack.pop(), stack.pop()
+                stack.append(Syllable(top.gen, prev.exp + top.exp))
+                continue
+            g, e = stack[-1]
+            k, e2 = divmod(e, p if g == "S" else q)
+            if k & 1:
+                sign = -sign
+            if e2 == 0:
+                stack.pop()
+                if stack:
+                    continue
+            elif e2 != e:
+                stack[-1] = Syllable(g, e2)
+            break
+    return GroupWord(sign, tuple(stack))
+
+
+@pytest.mark.parametrize("p,q", PQ_LIST)
+def test_normal_form_matches_the_stack_algorithm(p, q):
+    rng = random.Random(3300 + 10 * p + q)
+    orders = (("S", p), ("U", q))
+    ws = [GroupWord(s, ()) for s in (1, -1)]
+    # G^n * G^n = (-I)^2 cancels completely; G^0, G^+-n and G^+-3n are central
+    ws += [GroupWord(s, (Syllable(g, n),) * 2) for s in (1, -1) for g, n in orders]
+    ws += [GroupWord(s, (Syllable(g, e),)) for s in (1, -1) for g, n in orders for e in (0, n, -n, 3 * n, -3 * n)]
+    for _ in range(400):
+        raw = []
+        for _ in range(rng.randint(0, 12)):
+            g, n = rng.choice(orders)
+            raw.append(Syllable(g, rng.randint(-3 * n, 3 * n)))
+        ws.append(GroupWord(rng.choice((1, -1)), tuple(raw)))
+    for w in ws:
+        nf = normal_form(w, p, q)
+        assert nf == _stack_normal_form(w, p, q), w
+        assert normal_form(nf, p, q) is nf  # a normal word is returned itself
+        assert all(0 < e < dict(orders)[g] for g, e in nf.syllables)
+
+
+@pytest.mark.parametrize("p,q", PQ_LIST)
+def test_inverse_is_written_in_normal_form(p, q):
+    P = get_params(p, q)
+    rng = random.Random(3400 + 10 * p + q)
+    els = [Element.identity(P), -Element.identity(P)] + [random_element(P, rng, 12) for _ in range(80)]
+    for x in els:
+        inv = x.inverse()
+        assert inv == Element(P, x.word.inverse()), x
+        assert normal_form(inv.word, p, q) == inv.word
+        assert normal_inverse(inv.word, p, q) == x.word
+        assert (x * inv).word == (inv * x).word == IDENTITY
+        assert x**-3 == inv * inv * inv
 
 
 def test_multiply_cancels():
