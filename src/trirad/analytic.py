@@ -66,23 +66,20 @@ def _check_hyperbolic_rep(el: Element, who: str):
 
 
 def geodesic_data(el: Element) -> GeodesicData:
-    """Fixed points, scaling matrix and geodesic length of a tr>2, c>0 element.
+    """Fixed points, scaling matrix and geodesic length of a (2,3) element with tr > 2, c > 0.
 
-    At (2,3) the entries are the word's integers (`_SYLLABLES_23`), each rounded
-    once: el.matrix.float_entries() bit for bit, with no exact matrix built.
+    The entries are the word's integers (`_SYLLABLES_23`), each rounded once:
+    el.matrix.float_entries() bit for bit, with no exact matrix built.
     """
-    _check_hyperbolic_rep(el, "geodesic_data")
+    _check_23(el, "geodesic_data")
     return _geodesic_data(el)
 
 
 def _geodesic_data(el: Element) -> GeodesicData:
-    if (el.params.p, el.params.q) == (2, 3):  # sign * I times the syllables, in integers
-        a, b, c, d = el.word.sign, 0, 0, el.word.sign
-        for e, f, g, h in (_SYLLABLES_23[syl] for syl in el.word.syllables):
-            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-        a, b, c, d = float(a), float(b), float(c), float(d)
-    else:
-        a, b, c, d = el.matrix.float_entries()
+    a, b, c, d = el.word.sign, 0, 0, el.word.sign  # sign * I times the syllables, in integers
+    for e, f, g, h in (_SYLLABLES_23[syl] for syl in el.word.syllables):
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    a, b, c, d = float(a), float(b), float(c), float(d)
     t = a + d
     disc = math.sqrt(t * t - 4.0)
     w = ((a - d) + disc) / (2.0 * c)

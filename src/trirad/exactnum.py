@@ -3,10 +3,14 @@
 Elements are stored on the monomial basis alpha^i beta^j where alpha = 2cos(pi/p)
 and beta = 2cos(pi/q).  Since gcd(p,q) = 1 the two real cyclotomic fields
 intersect in Q, so the basis is honest and canonical coefficient matrices decide
-equality.  Signs of nonzero values are certified by integer interval
-arithmetic at doubling precision N: the floors of alpha 2^N and beta 2^N, found
-by Newton's method on the minimal polynomials, bracket every monomial; the zero
-value is recognized symbolically.
+equality.  `AlgebraicNumber.float_with_error` is the one float evaluation: the
+float sum of the n nonzero terms and a derived bound (n + 3(dp + dq) + 4) 2^-53
+sum |term| (plus a subnormal term) on its error; `float`, the float tier of
+`sign` and the float shadows of `trirad.group` all take it.  Signs of nonzero
+values the float leaves open are certified by integer interval arithmetic at
+doubling precision N: the floors of alpha 2^N and beta 2^N, found by Newton's
+method on the minimal polynomials, bracket every monomial; the zero value is
+recognized symbolically.
 """
 
 from __future__ import annotations
@@ -144,6 +148,8 @@ class Field:
         self._basis_f = [
             [self.alpha_f**i * self.beta_f**j for j in range(self.dq)] for i in range(self.dp)
         ]
+        # the units of 2^-53 and of 2^-1074 in AlgebraicNumber.float_with_error's bound, beside the term count
+        self._float_error = 3 * (self.dp + self.dq) + 4, math.ldexp(1.0, self.dp + self.dq - 1074)
         self.zero = self.from_rational(0)
         self.one = self.from_rational(1)
         self.alpha = self.element({(1, 0): 1})
@@ -313,13 +319,51 @@ class AlgebraicNumber:
         return self._hash
 
     def __float__(self):
-        f = self.field
-        total = 0.0
+        return self.float_with_error()[0]
+
+    def float_with_error(self):
+        """(v, e): the float sum v of the terms a alpha^i beta^j, row by row, and |self - v| <= e.
+
+        Take u = 2^-53, n nonzero terms, m = 3(dp + dq) and B = 2^(dp+dq-2),
+        which bounds alpha^i beta^j (alpha, beta < 2).  Each term is
+        fl(fl(a) b~) with b~ = `Field._basis_f`[i][j]:
+        - fl(a) is correctly rounded (int and int/int division are), so
+          |a - fl(a)| <= u |fl(a)|;
+        - |b~ - alpha^i beta^j| <= m u |b~|.  This assumes that alpha~ =
+          2cos(pi/p) as computed, beta~, and each power alpha~**i, beta~**j
+          are within one ulp (a relative 2u) of their exact values (alpha~
+          only where dp > 1: else only alpha~**0 = 1 is used); then the
+          error is at most (2(i + j) + 5)u + O(u^2) <= (m - 1)u, counting
+          one u for the product.  tests/test_exactnum.py's
+          test_basis_floats_are_within_the_ulps_the_bound_assumes checks the
+          assumption against 60-digit values;
+        - the product adds u |fl(a) b~|.
+        So each term is off by at most (m + 2)u |fl(a) b~|, and recursive
+        summation adds (n - 1)u sum |term~| (Higham, Accuracy and Stability of
+        Numerical Algorithms, section 3.1), to first order
+            |self - v| <= (n + m + 1) u sum |term~|.
+        The bound uses n + m + 4: the three spare units cover the O(u^2) terms
+        and the rounding of the bound's own float evaluation while (n + m)^2 u
+        < 1, which holds for any field that fits in memory.  Below 2^-1022
+        errors are absolute: a subnormal fl(a) is off by 2^-1075, which b~ <= B
+        magnifies, and a term or the bound itself rounds by 2^-1075; the
+        n 2^(dp+dq-1074) = 4nB 2^-1074 added covers these.  A coefficient past
+        the float range raises OverflowError from float(a); a term or sum that
+        overflows leaves v infinite or NaN and e infinite, which vouches for
+        nothing.
+        """
+        basis = self.field._basis_f
+        v = scale = 0.0
+        n = 0
         for i, row in enumerate(self.coeffs):
             for j, a in enumerate(row):
                 if a:
-                    total += float(a) * f._basis_f[i][j]
-        return total
+                    t = float(a) * basis[i][j]
+                    v += t
+                    scale += abs(t)
+                    n += 1
+        units, tiny = self.field._float_error
+        return v, (n + units) * 2.0**-53 * scale + n * tiny
 
     def __repr__(self):
         terms = []
@@ -383,11 +427,12 @@ def _power_brackets(mp: MinPoly, bits):
 
 
 def sign(x: AlgebraicNumber) -> SignCertificate:
-    """Certified sign: symbolic zero test, then interval refinement.
+    """Certified sign: symbolic zero test, then the float, then interval refinement.
 
-    Fast paths: rational values read the sign off the coefficient, and values
-    whose float evaluation clears a conservative error bound are decided at
-    machine precision.  Only near-cancellations reach the integer intervals:
+    Fast paths: rational values read the sign off the coefficient, and a
+    value whose float v exceeds its bound e from `float_with_error` has the
+    sign of v, decided at machine precision, since |x - v| <= e < |v|.  Only
+    near-cancellations reach the integer intervals:
     at N bits, with A, B the floors of alpha * 2^N, beta * 2^N and D the lcm of
     the coefficient denominators, alpha, beta >= 0 put each monomial
     alpha^i beta^j 2^(N(i+j)) in [A^i B^j, (A+1)^i (B+1)^j], so integers
@@ -400,16 +445,8 @@ def sign(x: AlgebraicNumber) -> SignCertificate:
     if x.is_rational():
         return SignCertificate(1 if x.coeffs[0][0] > 0 else -1, 64)
     try:
-        val = 0.0
-        scale = 0.0
-        for i, row in enumerate(x.coeffs):
-            for j, a in enumerate(row):
-                if a:
-                    fa = float(a)
-                    b = f._basis_f[i][j]
-                    val += fa * b
-                    scale += abs(fa) * abs(b)
-        if abs(val) > 1e-12 * scale:
+        val, err = x.float_with_error()
+        if abs(val) > err:
             return SignCertificate(1 if val > 0 else -1, 53)
     except OverflowError:
         pass
@@ -441,10 +478,13 @@ def chebyshev_C_2x(n: int, two_x: AlgebraicNumber) -> AlgebraicNumber:
     """Same recurrence driven by 2x; keeps coefficients integral for 2x = alpha."""
     if n < 0:
         return -chebyshev_C_2x(-n, two_x)
+    return chebyshev_table(n, two_x)[n]
+
+
+def chebyshev_table(n: int, two_x: AlgebraicNumber) -> list:
+    """[C_0, C_1, ..., C_max(n,1)] of `chebyshev_C_2x`, one step of the recurrence each."""
     field = two_x.field
-    prev, cur = field.zero, field.one
-    if n == 0:
-        return prev
+    table = [field.zero, field.one]
     for _ in range(n - 1):
-        prev, cur = cur, two_x * cur - prev
-    return cur
+        table.append(two_x * table[-1] - table[-2])
+    return table

@@ -12,7 +12,10 @@ orients and checks its root on words too.  `asai_signs`, which
 `symbols.psi_via_cocycle` consumes, takes the Asai sign of every suffix of a
 word from arithmetic instead, by the first of three tiers that can decide it:
 
-(a) the float shadow, when the entry clears its error bound by a wide margin;
+(a) the float shadow, when the entry clears its error bound by the factor
+    _MARGIN; the syllable shadows take entries and bounds from
+    `exactnum.AlgebraicNumber.float_with_error`, and `_fmul` carries both
+    through each product;
 (b) the word: c = 0 exactly for the cusp words (U S)^k and (S^(p-1) U^(q-1))^k,
     because Stab(inf) = +-<T>, and their sign is read off k (`is_cusp_word`);
 (c) certified exact arithmetic on the exact matrix.
@@ -38,8 +41,11 @@ from typing import NamedTuple
 
 from trirad import exactnum, words
 from trirad.errors import DomainError, InternalInconsistencyError, NotInGroupError, NumericError
-from trirad.exactnum import AlgebraicNumber, chebyshev_C_2x, sign
+from trirad.exactnum import AlgebraicNumber, chebyshev_table, sign
 from trirad.words import GroupWord, Syllable, cyclic_reduce, minimal_period, multiply, normal_form, normal_inverse
+
+# the relative error bound beyond which a float read off the ring (a trace, a matrix) is refused
+FLOAT_RTOL = 1e-6
 
 
 class Matrix2(NamedTuple):
@@ -77,7 +83,14 @@ class Matrix2(NamedTuple):
         return (self.a, self.b, self.c, self.d)
 
     def float_entries(self):
-        return tuple(float(x) for x in self.entries())
+        """The entries as floats; NumericError unless each is within FLOAT_RTOL * max|entry| of its exact value."""
+        try:
+            vals, errs, _ = _shadow(self)
+        except OverflowError:
+            raise NumericError("matrix entry beyond the float range") from None
+        if not max(errs) <= FLOAT_RTOL * max(map(abs, vals)) < math.inf:  # an infinite entry fails the right side
+            raise NumericError(f"matrix entries not vouched for to a relative {FLOAT_RTOL:g} in floats")
+        return vals
 
 
 # float shadow: ((a, b, c, d), (ea, eb, ec, ed), k) with |2^-k * exact entry - entry| <= its e
@@ -141,8 +154,9 @@ def _decided_sign(x, err):
 
 
 def _shadow(m: Matrix2):
-    t = m.float_entries()
-    return t, (4e-15 * max(abs(x) for x in t),) * 4, 0
+    """Shadow of an exact matrix: each entry's float and bound from `AlgebraicNumber.float_with_error`."""
+    vals, errs = zip(*(x.float_with_error() for x in m.entries()))
+    return vals, errs, 0
 
 
 class GroupParams:
@@ -157,17 +171,13 @@ class GroupParams:
             raise InternalInconsistencyError("gcd(r, 2pq) != 1")
         f = self.field
         self.lam = f.alpha + f.beta
-        # syllable powers via the Chebyshev formulas
+        # syllable powers via the Chebyshev formulas, from one table C_0..C_n per generator
         #   S^n = (-C_{n-1}  -C_n ; C_n  C_{n+1})  at cos(pi/p)
         #   U^n = ( C_{n+1}  -C_n ; C_n  -C_{n-1}) at cos(pi/q)
-        self._spow = [None]
-        for n in range(1, p):
-            cm, cn, cp1 = (chebyshev_C_2x(n - 1, f.alpha), chebyshev_C_2x(n, f.alpha), chebyshev_C_2x(n + 1, f.alpha))
-            self._spow.append(Matrix2(-cm, -cn, cn, cp1))
-        self._upow = [None]
-        for n in range(1, q):
-            cm, cn, cp1 = (chebyshev_C_2x(n - 1, f.beta), chebyshev_C_2x(n, f.beta), chebyshev_C_2x(n + 1, f.beta))
-            self._upow.append(Matrix2(cp1, -cn, cn, -cm))
+        c = chebyshev_table(p, f.alpha)
+        self._spow = [None] + [Matrix2(-c[n - 1], -c[n], c[n], c[n + 1]) for n in range(1, p)]
+        c = chebyshev_table(q, f.beta)
+        self._upow = [None] + [Matrix2(c[n + 1], -c[n], c[n], -c[n - 1]) for n in range(1, q)]
         self.S = self._spow[1]
         self.U = self._upow[1]
         self.T = -(self.U * self.S)
@@ -344,10 +354,20 @@ class Element:
         return self._prefix
 
     def float_trace(self) -> float:
-        """The trace as a float, the shadow's scale undone."""
-        t4, _, k = self.fmat
+        """The trace as a float, the shadow's scale undone.
+
+        NumericError when the trace is beyond the float range, or when the
+        shadow's bound ea + ed passes FLOAT_RTOL max(|trace|, 2): relative to
+        the trace for the non-elliptic elements, where |trace| >= 2, and to 2
+        for the elliptic ones, whose traces 2cos(k pi/n) may be 0.  The sum of
+        the two entries adds at most 2^-53 |trace| more.
+        """
+        t4, e4, k = self.fmat
+        t = t4[0] + t4[3]
+        if e4[0] + e4[3] > FLOAT_RTOL * max(abs(t), math.ldexp(2.0, -k)):
+            raise NumericError(f"trace not vouched for to a relative {FLOAT_RTOL:g} in floats")
         try:
-            return math.ldexp(t4[0] + t4[3], k)
+            return math.ldexp(t, k)
         except OverflowError:
             raise NumericError("trace beyond the float range") from None
 

@@ -254,6 +254,23 @@ def test_numeric_check_failure_exits_6(capsys, monkeypatch):
     assert json.loads(out.splitlines()[-1])["error"] == "NumericError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normal-form", "--pq", "2,101", "--word=U^49"],
+        ["enumerate", "--pq", "2,101", "--max-syllables", "4"],
+        ["stats", "--pq", "2,101", "--max-syllables", "4"],
+        ["normal-form", "--pq", "2,3", "--word=" + " * ".join(["U * S * U^2 * S"] * 800)],
+    ],
+)
+def test_ring_floats_not_vouched_for_exit_6(capsys, argv):
+    # at (2,101) the float sums of U^49's entries cancel: about [32.151, -32.119, 32.119, -32.057]
+    # read [214.375, -92.5625, 92.5625, -10.109375]; such floats are refused, not printed, and
+    # so are entries past the float range (about 10^334 for the (2,3) word)
+    code, d = run_json(capsys, *argv)
+    assert code == 6 and d["error"] == "NumericError", d
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_numeric_check_invalid_tol_exits_4(capsys, tol):
     code, d = run_json(capsys, "numeric-check", "--pq", "2,3", "--max-syllables", "6", f"--tol={tol}")

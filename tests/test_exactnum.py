@@ -1,5 +1,6 @@
 """Exact field arithmetic: minimal polynomials, reduction, certified signs."""
 
+import decimal
 import math
 import os
 import subprocess
@@ -13,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trirad
+from conftest import FLOAT_PQ, value60
 from trirad.errors import DomainError
 from trirad.exactnum import (
+    AlgebraicNumber,
     _power_brackets,
     chebyshev_C,
     chebyshev_C_2x,
@@ -244,3 +247,65 @@ def test_canonical_form_is_faithful(data):
         assert abs(float(x) - float(y)) < 1e-9
     else:
         assert sign(x - y).value != 0
+
+
+@pytest.mark.parametrize("p,q", FLOAT_PQ)
+def test_basis_floats_are_within_the_ulps_the_bound_assumes(p, q):
+    # float_with_error assumes alpha~, beta~ (where dp, dq > 1) and their float
+    # powers within one ulp, and so each basis float within 3(dp + dq) units of 2^-53
+    f = get_field(p, q)
+    with decimal.localcontext(prec=80):
+        for g, g_f, d in ((f.alpha, f.alpha_f, f.dp), (f.beta, f.beta_f, f.dq)):
+            if d > 1:
+                assert abs(decimal.Decimal(g_f) - value60(g)) <= decimal.Decimal(math.ulp(g_f)), g
+            for i in range(d):
+                assert abs(Fraction(g_f**i) - Fraction(g_f) ** i) <= Fraction(math.ulp(g_f**i)), (g, i)
+        for i in range(f.dp):
+            for j in range(f.dq):
+                b = f._basis_f[i][j]
+                err = abs(decimal.Decimal(b) - value60(f.element({(i, j): 1})))
+                assert err <= decimal.Decimal(3 * (f.dp + f.dq) * 2.0**-53 * b), (i, j)
+
+
+def _ring_elements(f):
+    """Sparse elements of f: integers up to 10^30, fractions, and fractions near 10^-315 (subnormal floats)."""
+    coeff = st.one_of(
+        st.integers(-(10**30), 10**30),
+        st.fractions(max_denominator=10**6),
+        st.fractions(-1, 1, max_denominator=10**3).map(lambda r: r / 10**315),
+    )
+    monomial = st.tuples(st.integers(0, f.dp - 1), st.integers(0, f.dq - 1))
+    return st.dictionaries(monomial, coeff, max_size=8).map(f.element)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_float_with_error_encloses_the_60_digit_value(data):
+    f = get_field(*data.draw(st.sampled_from(FLOAT_PQ)))
+    x = data.draw(_ring_elements(f))
+    v, e = x.float_with_error()
+    assert v == float(x) or math.isnan(v)
+    with decimal.localcontext(prec=80):
+        assert abs(decimal.Decimal(v) - value60(x)) <= decimal.Decimal(e), x
+
+
+def test_sign_float_tier_agrees_with_the_interval_tier(monkeypatch):
+    # near-cancellations g 10^k - floor(g 10^k), and less r, its first k/2 digits:
+    # the float tier decides some and leaves the rest open; every sign it
+    # decides is taken again with the float tier forced open
+    cases = []
+    for p, q in FLOAT_PQ:
+        f = get_field(p, q)
+        for g in (f.alpha, f.beta, f.alpha * f.beta):
+            if g.is_rational():
+                continue
+            for k in range(0, 20):
+                x = g * 10**k - int(value60(g * 10**k))
+                r = Fraction(int(value60(x) * 10 ** (k // 2)), 10 ** (k // 2))
+                cases += [x, x - 1, x - r, r - x]
+    decided = [(x, sign(x).value) for x in cases if sign(x).precision_bits == 53]
+    assert 0 < len(decided) < len(cases)
+    monkeypatch.setattr(AlgebraicNumber, "float_with_error", lambda x: (0.0, math.inf))
+    for x, s in decided:
+        cert = sign(x)
+        assert cert.precision_bits >= 64 and cert.value == s, x

@@ -1,5 +1,6 @@
 """Matrices, classification, lifts and matrix recognition."""
 
+import decimal
 import math
 import random
 import sys
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PQ_LIST, random_element
+from conftest import FLOAT_PQ, PQ_LIST, random_element, value60
 from trirad import group, words
 from trirad.errors import DomainError, NotInGroupError, NumericError
 from trirad.exactnum import get_field, sign
@@ -77,7 +78,7 @@ def test_generator_orders(p, q):
     assert params.T.entries()[1] == params.lam
 
 
-@pytest.mark.parametrize("p,q", [(2, 3), (3, 5), (4, 5)])
+@pytest.mark.parametrize("p,q", [(2, 3), (3, 5), (4, 5), (7, 11), (31, 37)])
 def test_syllable_powers_match_repeated_multiplication(p, q):
     params = get_params(p, q)
     m = params.identity_matrix
@@ -88,6 +89,24 @@ def test_syllable_powers_match_repeated_multiplication(p, q):
     for n in range(1, q):
         m = m * params.U
         assert params.syllable_matrix("U", n) == m
+
+
+def test_syllable_powers_come_from_one_chebyshev_table():
+    # GroupParams steps the recurrence once per generator, not once per entry
+    assert "chebyshev_C_2x" not in vars(group)
+
+
+@pytest.mark.parametrize("p,q", FLOAT_PQ)
+def test_syllable_shadows_hold_their_bounds(p, q):
+    # every entry's float is within its stated bound of the 60-digit value
+    params = get_params(p, q)
+    for gen, n in (("S", p), ("U", q)):
+        for e in range(1, n):
+            vals, errs, k = params.syllable_fmat(gen, e)
+            assert k == 0
+            for x, v, err in zip(params.syllable_matrix(gen, e).entries(), vals, errs):
+                with decimal.localcontext(prec=80):
+                    assert abs(decimal.Decimal(v) - value60(x)) <= decimal.Decimal(err), (gen, e, v, err)
 
 
 def test_element_determinants(P34, rng):
