@@ -1,6 +1,6 @@
 """Exact Rademacher symbols for triangle groups and modular-knot linking numbers."""
 
-from trirad.exactnum import AlgebraicNumber, Field, MinPoly, SignCertificate, chebyshev_C, minpoly_2cos_pi_over, sign
+from trirad.exactnum import AlgebraicNumber, Field, MinPoly, SignCertificate, minpoly_2cos_pi_over, sign
 from trirad.group import Element, GroupParams, LiftedElement, Matrix2, get_params
 from trirad.words import GroupWord, Syllable, parse_word, render_word
 
@@ -15,7 +15,6 @@ __all__ = [
     "MinPoly",
     "SignCertificate",
     "Syllable",
-    "chebyshev_C",
     "get_params",
     "minpoly_2cos_pi_over",
     "parse_word",

@@ -3,7 +3,12 @@
 Elements are stored on the monomial basis alpha^i beta^j where alpha = 2cos(pi/p)
 and beta = 2cos(pi/q).  Since gcd(p,q) = 1 the two real cyclotomic fields
 intersect in Q, so the basis is honest and canonical coefficient matrices decide
-equality.  `AlgebraicNumber.float_with_error` is the one float evaluation: the
+equality.  Set-up takes one step per generator x, `_times_x`: shift a vector on
+the basis 1, x, .., x^(d-1) up a degree and reduce its top coefficient by the
+minimal polynomial.  It builds the power rows that `AlgebraicNumber.__mul__`
+reduces with, alpha and beta, and the Chebyshev rows from which
+`trirad.group` writes the syllable matrices, with no ring multiply.
+`AlgebraicNumber.float_with_error` is the one float evaluation: the
 float sum of the n nonzero terms and a derived bound (n + 3(dp + dq) + 4) 2^-53
 sum |term| (plus a subnormal term) on its error; `float`, the float tier of
 `sign` and the float shadows of `trirad.group` all take it.  Signs of nonzero
@@ -29,33 +34,29 @@ Rational = Union[int, Fraction]
 # integer polynomial helpers (coefficient lists, lowest degree first)
 
 
-def _poly_divexact(f, g):
-    """Exact division of integer polynomials; g must divide f."""
-    f = list(f)
-    dg = len(g) - 1
-    lead = g[-1]
-    out = [0] * (len(f) - dg)
-    for k in range(len(out) - 1, -1, -1):
-        coeff = f[k + dg]
-        if coeff % lead != 0:
-            raise InternalInconsistencyError("non-exact polynomial division")
-        coeff //= lead
-        out[k] = coeff
-        if coeff:
-            for j, b in enumerate(g):
-                f[k + j] -= coeff * b
-    if any(f[:dg]):
-        raise InternalInconsistencyError("non-exact polynomial division")
-    return out
-
-
 @lru_cache(maxsize=None)
 def _cyclotomic(m):
-    """Coefficients of the m-th cyclotomic polynomial."""
-    poly = [-1] + [0] * (m - 1) + [1]  # y^m - 1
-    for d in range(1, m):
-        if m % d == 0:
-            poly = _poly_divexact(poly, _cyclotomic(d))
+    """Coefficients of the m-th cyclotomic polynomial, the product of (y^d - 1)^mu(m/d) over d | m.
+
+    The factors with mu = +1 are multiplied in first, then those with mu = -1
+    divided out exactly; each factor is one pass over the coefficients.
+    """
+    mobius = {1: 1}  # mu(e) on the square-free divisors e of m; k is prime when none of them divides it
+    for k in range(2, m + 1):
+        if m % k == 0 and all(k % e for e in mobius if e > 1):
+            mobius.update({e * k: -mu for e, mu in mobius.items()})
+    poly = [1]
+    for e, mu in sorted(mobius.items(), key=lambda item: -item[1]):
+        d = m // e
+        if mu > 0:
+            poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+            continue
+        out = []  # out (y^d - 1) = poly: out[i] = out[i - d] - poly[i], and the top d vanish
+        for i, a in enumerate(poly):
+            out.append((out[i - d] if i >= d else 0) - a)
+        if any(out[len(out) - d:]):
+            raise InternalInconsistencyError("non-exact polynomial division")
+        poly = out[: len(out) - d]
     return tuple(poly)
 
 
@@ -106,24 +107,29 @@ def minpoly_2cos_pi_over(n: int) -> MinPoly:
     return MinPoly(n, tuple(acc))
 
 
+def _times_x(v, mp: MinPoly):
+    """x v on the basis 1, x, .., x^(d-1): shift v up a degree, then subtract top * mp, since mp(x) = 0."""
+    top = v[-1]
+    v = [0] + v[:-1]
+    return [a - top * c for a, c in zip(v, mp.coeffs)] if top else v
+
+
 def _power_rows(mp: MinPoly, count):
-    """Rows expressing x^k (k < count) on the basis 1, x, .., x^(d-1)."""
-    d = mp.degree
-    rows = []
-    for k in range(count):
-        if k < d:
-            row = [0] * d
-            row[k] = 1
-        else:
-            prev = rows[k - 1]
-            row = [0] * d
-            for i in range(d - 1):
-                row[i + 1] += prev[i]
-            top = prev[d - 1]
-            if top:
-                for i in range(d):
-                    row[i] -= top * mp.coeffs[i]
-        rows.append(row)
+    """Rows expressing x^k (k < count) on the basis 1, x, .., x^(d-1), one `_times_x` step each."""
+    rows = [[1] + [0] * (mp.degree - 1)]
+    while len(rows) < count:
+        rows.append(_times_x(rows[-1], mp))
+    return rows
+
+
+def chebyshev_rows(mp: MinPoly, n):
+    """[C_0, .., C_n] at x = 2cos(pi/mp.n) on the basis 1, x, .., x^(d-1), one `_times_x` step each.
+
+    C_0 = 0, C_1 = 1 and C_{k+1} = x C_k - C_{k-1}, so C_k(2cos t) = sin(kt)/sin(t).
+    """
+    rows = [[0] * mp.degree, [1] + [0] * (mp.degree - 1)]
+    while len(rows) <= n:
+        rows.append([a - b for a, b in zip(_times_x(rows[-1], mp), rows[-2])])
     return rows
 
 
@@ -152,8 +158,8 @@ class Field:
         self._float_error = 3 * (self.dp + self.dq) + 4, math.ldexp(1.0, self.dp + self.dq - 1074)
         self.zero = self.from_rational(0)
         self.one = self.from_rational(1)
-        self.alpha = self.element({(1, 0): 1})
-        self.beta = self.element({(0, 1): 1})
+        self.alpha = self.in_alpha(_times_x(self._rows_a[0], self.minpoly_p))
+        self.beta = self.in_beta(_times_x(self._rows_b[0], self.minpoly_q))
 
     def __repr__(self):
         return f"Field(p={self.p}, q={self.q})"
@@ -163,25 +169,14 @@ class Field:
         m[0][0] = c
         return AlgebraicNumber(self, tuple(tuple(row) for row in m))
 
-    def element(self, terms) -> "AlgebraicNumber":
-        """Reduce a raw polynomial {(i, j): coeff} in alpha, beta to canonical form.
+    def in_alpha(self, v) -> "AlgebraicNumber":
+        """sum v[i] alpha^i for dp coefficients v: the first column of the coefficient matrix."""
+        pad = (0,) * (self.dq - 1)
+        return AlgebraicNumber(self, tuple((a,) + pad for a in v))
 
-        Arbitrary exponents are allowed; they are rewritten on the basis with
-        the rows of `_power_rows`.
-        """
-        terms = [(i, j, coeff) for (i, j), coeff in dict(terms).items() if coeff != 0]
-        if any(i < 0 or j < 0 for i, j, _ in terms):
-            raise DomainError("negative exponents are not in the polynomial ring")
-        rows_a = _power_rows(self.minpoly_p, 1 + max((i for i, _, _ in terms), default=0))
-        rows_b = _power_rows(self.minpoly_q, 1 + max((j for _, j, _ in terms), default=0))
-        out = [[0] * self.dq for _ in range(self.dp)]
-        for i, j, coeff in terms:
-            for ii, av in enumerate(rows_a[i]):
-                if av:
-                    for jj, bv in enumerate(rows_b[j]):
-                        if bv:
-                            out[ii][jj] += coeff * av * bv
-        return AlgebraicNumber(self, tuple(tuple(row) for row in out))
+    def in_beta(self, v) -> "AlgebraicNumber":
+        """sum v[j] beta^j for dq coefficients v: the first row of the coefficient matrix."""
+        return AlgebraicNumber(self, (tuple(v),) + ((0,) * self.dq,) * (self.dp - 1))
 
 
 @lru_cache(maxsize=None)
@@ -467,24 +462,3 @@ def sign(x: AlgebraicNumber) -> SignCertificate:
             return SignCertificate(1 if lo > 0 else -1, bits)
         bits *= 2
     raise InternalInconsistencyError("sign refinement did not separate a nonzero value from 0")
-
-
-def chebyshev_C(n: int, x: AlgebraicNumber) -> AlgebraicNumber:
-    """Chebyshev value C_n(x) with C_0 = 0, C_1 = 1, C_{k+1} = 2x C_k - C_{k-1}."""
-    return chebyshev_C_2x(n, 2 * x)
-
-
-def chebyshev_C_2x(n: int, two_x: AlgebraicNumber) -> AlgebraicNumber:
-    """Same recurrence driven by 2x; keeps coefficients integral for 2x = alpha."""
-    if n < 0:
-        return -chebyshev_C_2x(-n, two_x)
-    return chebyshev_table(n, two_x)[n]
-
-
-def chebyshev_table(n: int, two_x: AlgebraicNumber) -> list:
-    """[C_0, C_1, ..., C_max(n,1)] of `chebyshev_C_2x`, one step of the recurrence each."""
-    field = two_x.field
-    table = [field.zero, field.one]
-    for _ in range(n - 1):
-        table.append(two_x * table[-1] - table[-2])
-    return table

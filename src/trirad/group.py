@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 from trirad import exactnum, words
 from trirad.errors import DomainError, InternalInconsistencyError, NotInGroupError, NumericError
-from trirad.exactnum import AlgebraicNumber, chebyshev_table, sign
+from trirad.exactnum import AlgebraicNumber, chebyshev_rows, sign
 from trirad.words import GroupWord, Syllable, cyclic_reduce, minimal_period, multiply, normal_form, normal_inverse
 
 # the relative error bound beyond which a float read off the ring (a trace, a matrix) is refused
@@ -171,13 +171,15 @@ class GroupParams:
             raise InternalInconsistencyError("gcd(r, 2pq) != 1")
         f = self.field
         self.lam = f.alpha + f.beta
-        # syllable powers via the Chebyshev formulas, from one table C_0..C_n per generator
-        #   S^n = (-C_{n-1}  -C_n ; C_n  C_{n+1})  at cos(pi/p)
-        #   U^n = ( C_{n+1}  -C_n ; C_n  -C_{n-1}) at cos(pi/q)
-        c = chebyshev_table(p, f.alpha)
-        self._spow = [None] + [Matrix2(-c[n - 1], -c[n], c[n], c[n + 1]) for n in range(1, p)]
-        c = chebyshev_table(q, f.beta)
-        self._upow = [None] + [Matrix2(c[n + 1], -c[n], c[n], -c[n - 1]) for n in range(1, q)]
+        # syllable powers via the Chebyshev formulas, from the rows C_0..C_n of each generator
+        #   S^n = (-C_{n-1}  -C_n ; C_n  C_{n+1})  at alpha = 2cos(pi/p)
+        #   U^n = ( C_{n+1}  -C_n ; C_n  -C_{n-1}) at beta = 2cos(pi/q)
+        c = chebyshev_rows(f.minpoly_p, p)
+        c, m = [f.in_alpha(v) for v in c], [f.in_alpha([-a for a in v]) for v in c]
+        self._spow = [None] + [Matrix2(m[n - 1], m[n], c[n], c[n + 1]) for n in range(1, p)]
+        c = chebyshev_rows(f.minpoly_q, q)
+        c, m = [f.in_beta(v) for v in c], [f.in_beta([-a for a in v]) for v in c]
+        self._upow = [None] + [Matrix2(c[n + 1], m[n], c[n], m[n - 1]) for n in range(1, q)]
         self.S = self._spow[1]
         self.U = self._upow[1]
         self.T = -(self.U * self.S)

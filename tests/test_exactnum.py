@@ -1,6 +1,8 @@
 """Exact field arithmetic: minimal polynomials, reduction, certified signs."""
 
 import decimal
+import hashlib
+import json
 import math
 import os
 import subprocess
@@ -15,16 +17,20 @@ from hypothesis import strategies as st
 
 import trirad
 from conftest import FLOAT_PQ, value60
+from trirad import exactnum
 from trirad.errors import DomainError
 from trirad.exactnum import (
     AlgebraicNumber,
+    Field,
+    _cyclotomic,
     _power_brackets,
-    chebyshev_C,
-    chebyshev_C_2x,
+    _power_rows,
+    chebyshev_rows,
     get_field,
     minpoly_2cos_pi_over,
     sign,
 )
+from trirad.group import GroupParams, get_params
 
 
 def test_minpoly_small():
@@ -72,12 +78,29 @@ def test_reduction_golden_ratio():
     assert f.alpha * f.alpha == f.alpha + 1
 
 
-def test_element_with_large_exponents():
-    f = get_field(3, 5)
-    a = f.element({(7, 0): 1})
-    assert a == f.alpha**7
-    with pytest.raises(DomainError):
-        f.element({(-1, 0): 1})
+@pytest.mark.parametrize("p,q", FLOAT_PQ)
+def test_power_rows_match_repeated_multiplication(p, q):
+    # x^k for k < 2d + 3 from the shift step, embedded in the field, is the k-th
+    # product by the generator; the field keeps the first 2d - 1 rows for __mul__
+    f = get_field(p, q)
+    for mp, d, rows, embed, g in (
+        (f.minpoly_p, f.dp, f._rows_a, f.in_alpha, f.alpha),
+        (f.minpoly_q, f.dq, f._rows_b, f.in_beta, f.beta),
+    ):
+        longer = _power_rows(mp, 2 * d + 3)
+        assert rows == longer[: 2 * d - 1]
+        power = f.one
+        for k, row in enumerate(longer):
+            assert embed(row) == power, (mp.n, k)
+            power = power * g
+
+
+def test_cyclotomic_matches_sympy():
+    # sympy's dense cyclotomic polynomials, built another way: Phi_n(y^p) / Phi_n(y) and y -> y^p
+    from sympy.polys.factortools import dup_zz_cyclotomic_poly
+
+    for m in range(1, 401):
+        assert _cyclotomic(m) == tuple(int(c) for c in reversed(dup_zz_cyclotomic_poly(m, sympy.ZZ))), m
 
 
 def test_rational_interface():
@@ -176,18 +199,62 @@ def test_import_does_not_load_mpmath():
 
 
 def test_chebyshev_values():
-    f = get_field(2, 3)
-    x = f.beta  # = 1
-    assert chebyshev_C(0, x) == 0
-    assert chebyshev_C(1, x) == 1
-    assert chebyshev_C(2, x) == 2  # 2x at x=1
-    assert chebyshev_C(-2, x) == -2
-    g = get_field(2, 7)
-    # C_n(cos t) = sin(nt)/sin(t); check at t = pi/7 with x = beta/2
-    t = math.pi / 7
-    for n in range(8):
-        val = float(chebyshev_C_2x(n, g.beta))
-        assert abs(val - math.sin(n * t) / math.sin(t)) < 1e-10
+    # C_n(2cos t) = sin(nt)/sin(t) on the rows of every generator, at t = pi/n
+    for p, q in FLOAT_PQ:
+        f = get_field(p, q)
+        for mp, embed in ((f.minpoly_p, f.in_alpha), (f.minpoly_q, f.in_beta)):
+            t = math.pi / mp.n
+            rows = chebyshev_rows(mp, mp.n)
+            assert len(rows) == mp.n + 1 and rows[:2] == [[0] * mp.degree, [1] + [0] * (mp.degree - 1)]
+            for n, row in enumerate(rows):
+                assert abs(float(value60(embed(row))) - math.sin(n * t) / math.sin(t)) < 1e-10, (p, q, mp.n, n)
+
+
+# sha256 of _setup_payload(), taken by running it on the code before the set-up
+# was built from the shift step (a general reducer made alpha and beta, and a
+# Chebyshev table of generic ring multiplies the syllable matrices)
+SETUP_SHA256 = "d72d9211a210c2358f2b22ee81ea17ce3a55c4d71833f750be0108bd370b9215"
+
+
+def _setup_payload():
+    """Power rows, generators, lambda, S, U, T, the syllable matrices and their shadows on FLOAT_PQ, as JSON."""
+    out = []
+    for p, q in FLOAT_PQ:
+        f, params = get_field(p, q), get_params(p, q)
+        syllables = [(g, e) for g, n in (("S", p), ("U", q)) for e in range(1, n)]
+        mats = [params.S, params.U, params.T] + [params.syllable_matrix(g, e) for g, e in syllables]
+        shadows = [params.syllable_fmat(g, e) for g, e in syllables]
+        out.append({
+            "pq": [p, q],
+            "rows": [f._rows_a, f._rows_b],
+            "gens": [x.coeffs for x in (f.alpha, f.beta, params.lam)],
+            "matrices": [[x.coeffs for x in m.entries()] for m in mats],
+            "shadows": [[[v.hex() for v in vals], [e.hex() for e in errs], k] for vals, errs, k in shadows],
+        })
+    return json.dumps(out, separators=(",", ":"))
+
+
+def test_set_up_matches_its_digest():
+    assert hashlib.sha256(_setup_payload().encode()).hexdigest() == SETUP_SHA256
+
+
+def test_set_up_takes_no_ring_multiply_beyond_the_product_for_T(monkeypatch):
+    # the rows come from the shift step, so a fresh field and GroupParams cost
+    # only the 8 entry products of U S
+    calls = []
+    mul = AlgebraicNumber.__mul__
+
+    def counted(x, y):
+        calls.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(AlgebraicNumber, "__mul__", counted)
+    monkeypatch.setattr(AlgebraicNumber, "__rmul__", counted)
+    monkeypatch.setattr(exactnum, "get_field", Field)
+    for p, q in ((2, 101), (31, 37)):
+        calls.clear()
+        GroupParams(p, q)
+        assert len(calls) <= 8, (p, q, len(calls))
 
 
 def test_field_validation():
@@ -263,7 +330,7 @@ def test_basis_floats_are_within_the_ulps_the_bound_assumes(p, q):
         for i in range(f.dp):
             for j in range(f.dq):
                 b = f._basis_f[i][j]
-                err = abs(decimal.Decimal(b) - value60(f.element({(i, j): 1})))
+                err = abs(decimal.Decimal(b) - value60(f.alpha**i * f.beta**j))
                 assert err <= decimal.Decimal(3 * (f.dp + f.dq) * 2.0**-53 * b), (i, j)
 
 
@@ -275,7 +342,9 @@ def _ring_elements(f):
         st.fractions(-1, 1, max_denominator=10**3).map(lambda r: r / 10**315),
     )
     monomial = st.tuples(st.integers(0, f.dp - 1), st.integers(0, f.dq - 1))
-    return st.dictionaries(monomial, coeff, max_size=8).map(f.element)
+    return st.dictionaries(monomial, coeff, max_size=8).map(
+        lambda terms: AlgebraicNumber(f, tuple(tuple(terms.get((i, j), 0) for j in range(f.dq)) for i in range(f.dp)))
+    )
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,11 +1,15 @@
 """Rademacher symbols: generator values, coboundary laws, (2,3) oracles."""
 
+import math
 import os
+import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import PQ_LIST, random_element
@@ -205,6 +209,31 @@ def test_dedekind_sums():
         assert lhs == rhs
     with pytest.raises(DomainError):
         dedekind_sum(1, 0)
+
+
+def test_dedekind_sum_matches_the_definition():
+    # the definition in integers: 4c^2 s(a,c) = sum_{k<c} (2k - c)(2(ka mod c) - c), a term 0 where c | ka;
+    # every coprime pair with |a| <= 300 and c <= 300, and every pair with c < 60 and |a| < 70
+    for c in range(1, 301):
+        k = np.arange(1, c)
+        r = np.outer(np.arange(c), k) % c  # r[a, k - 1] = ka mod c
+        four_c2_s = np.where(r > 0, 2 * r - c, 0) @ (2 * k - c)
+        for a in range(-300, 301):
+            if math.gcd(a, c) == 1 or (c < 60 and abs(a) < 70):
+                assert dedekind_sum(a, c) * 4 * c * c == int(four_c2_s[a % c]), (a, c)
+
+
+def test_phi23_formula_takes_milliseconds_at_large_c(P23):
+    # Dedekind's closed form against Phi read off the word, on words of 180 syllables, where |c| passes 10^12
+    rng = random.Random(2024)
+    for _ in range(5):
+        x = random_element(P23, rng, max_syllables=180, min_syllables=180)
+        a, b, c, d = (int(v.rational_value()) for v in x.matrix.entries())
+        assert abs(c) > 10**12
+        start = time.process_time()
+        value = phi23_formula(a, b, c, d)
+        assert time.process_time() - start < 0.05
+        assert value == dedekind_Phi(x), x.word
 
 
 def test_phi23_formula():
